@@ -34,11 +34,17 @@ class BinaryWriter {
   /// Length-prefixed vector of trivially copyable elements.
   template <typename T>
   void WriteVector(const std::vector<T>& values) {
-    static_assert(std::is_trivially_copyable_v<T>);
     WriteU64(values.size());
-    if (!values.empty()) {
-      WriteRaw(values.data(), values.size() * sizeof(T));
-    }
+    WriteArray(std::span<const T>(values));
+  }
+
+  /// Trivially copyable elements with no length prefix: WriteU64(n) then
+  /// pieces totalling n elements write the same bytes as WriteVector, so
+  /// a large derived section can be streamed in chunks.
+  template <typename T>
+  void WriteArray(std::span<const T> values) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    if (!values.empty()) WriteRaw(values.data(), values.size_bytes());
   }
 
   /// Bytes successfully queued so far (including magic + version). Format

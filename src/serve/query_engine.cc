@@ -611,45 +611,51 @@ Status IncrementalRescan(const CreditSnapshotView& view, const Graph& graph,
                      /*begin_pos=*/old_size, &table, &scratch);
       });
 
-  // Assemble the new snapshot: fresh slot universe from the new log,
-  // rebuilt tables where something changed, verbatim (entry-rebased)
-  // copies of the mmap'd arrays everywhere else.
+  // Assemble the new snapshot through the shared freeze: rebuilt tables
+  // where something changed, verbatim (entry-rebased) copies of the
+  // mmap'd arrays everywhere else. An unchanged action's entries keep
+  // their layout, so its ranges move as a block by new_base - old_base.
   SnapshotData data;
-  InitSnapshotSlots(log, &data);
+  FreezeActions(
+      log, config.scan_threads,
+      [&](ActionId a) -> std::uint64_t {
+        if (changed_index[a] != ~0ULL) {
+          return tables[changed_index[a]].num_entries();
+        }
+        return view.action_entry_begin()[a + 1] - view.action_entry_begin()[a];
+      },
+      [&](ActionFreezer& freezer, ActionId a,
+          std::span<const ActionTuple> trace) {
+        if (changed_index[a] != ~0ULL) {
+          freezer.Freeze(tables[changed_index[a]], a, trace, &data);
+          return;
+        }
+        const std::uint64_t old_base = view.action_entry_begin()[a];
+        const std::uint64_t old_end = view.action_entry_begin()[a + 1];
+        const std::uint64_t new_base = data.action_entry_begin[a];
+        const auto copy = [&](auto from, auto& to) {
+          std::copy(from.begin() + old_base, from.begin() + old_end,
+                    to.begin() + new_base);
+        };
+        copy(view.fwd_node(), data.fwd_node);
+        copy(view.fwd_credit(), data.fwd_credit);
+        copy(view.bwd_node(), data.bwd_node);
+        for (std::uint64_t e = old_base; e < old_end; ++e) {
+          data.bwd_entry[e - old_base + new_base] =
+              view.bwd_entry()[e] - old_base + new_base;
+        }
+        for (const ActionTuple& t : trace) {
+          const std::uint64_t old_s = view.SlotOf(t.user, a);
+          const std::uint64_t new_s = data.SlotOf(t.user, a);
+          data.fwd_begin[new_s] = view.fwd_begin()[old_s] - old_base + new_base;
+          data.fwd_count[new_s] = view.fwd_count()[old_s];
+          data.bwd_begin[new_s] = view.bwd_begin()[old_s] - old_base + new_base;
+          data.bwd_count[new_s] = view.bwd_count()[old_s];
+        }
+      },
+      &data);
   data.truncation_threshold = config.truncation_threshold;
   data.graph_fingerprint = view.graph_fingerprint();
-  data.log_fingerprint = FingerprintActionLog(log);
-  for (ActionId a = 0; a < new_actions; ++a) {
-    const auto trace = log.ActionTrace(a);
-    data.action_entry_begin[a] = data.fwd_node.size();
-    data.action_size[a] = static_cast<std::uint32_t>(trace.size());
-    data.action_trace_hash[a] = HashActionTrace(trace);
-    if (changed_index[a] != ~0ULL) {
-      AppendActionFromTable(tables[changed_index[a]], a, trace, &data);
-      continue;
-    }
-    const std::uint64_t old_base = view.action_entry_begin()[a];
-    const std::uint64_t new_base = data.action_entry_begin[a];
-    for (const ActionTuple& t : trace) {
-      const std::uint64_t old_s = view.SlotOf(t.user, a);
-      const std::uint64_t new_s = data.SlotOf(t.user, a);
-      data.fwd_begin[new_s] = data.fwd_node.size();
-      data.fwd_count[new_s] = view.fwd_count()[old_s];
-      const std::uint64_t fb = view.fwd_begin()[old_s];
-      for (std::uint64_t e = fb; e < fb + view.fwd_count()[old_s]; ++e) {
-        data.fwd_node.push_back(view.fwd_node()[e]);
-        data.fwd_credit.push_back(view.fwd_credit()[e]);
-      }
-      data.bwd_begin[new_s] = data.bwd_node.size();
-      data.bwd_count[new_s] = view.bwd_count()[old_s];
-      const std::uint64_t bb = view.bwd_begin()[old_s];
-      for (std::uint64_t j = bb; j < bb + view.bwd_count()[old_s]; ++j) {
-        data.bwd_node.push_back(view.bwd_node()[j]);
-        data.bwd_entry.push_back(view.bwd_entry()[j] - old_base + new_base);
-      }
-    }
-  }
-  data.action_entry_begin[new_actions] = data.fwd_node.size();
 
   INFLUMAX_RETURN_IF_ERROR(WriteSnapshotFile(data, out_path));
   if (stats != nullptr) *stats = local_stats;

@@ -4,10 +4,13 @@
 #include <bit>
 #include <cassert>
 #include <cstdio>
+#include <numeric>
 
 #include "common/binary_io.h"
 #include "common/failpoint.h"
 #include "common/flat_hash.h"
+#include "common/logging.h"
+#include "common/parallel.h"
 #include "serve/snapshot_format.h"
 
 namespace influmax {
@@ -15,10 +18,6 @@ namespace {
 
 std::uint64_t HashChain(std::uint64_t h, std::uint64_t v) {
   return HashMix64(h ^ HashMix64(v));
-}
-
-std::uint64_t PairKey(NodeId v, NodeId u) {
-  return (static_cast<std::uint64_t>(v) << 32) | u;
 }
 
 template <typename T>
@@ -77,53 +76,15 @@ std::uint64_t FingerprintActionLog(const ActionLog& log) {
   return FingerprintTraceHashes(log.num_users(), hashes);
 }
 
-void AppendActionFromTable(const ActionCreditTable& table, ActionId a,
-                           std::span<const ActionTuple> trace,
-                           SnapshotData* data) {
-  // First pass, forward lists: participants in trace order, each list in
-  // live adjacency (first-touch) order with stale ids dropped — the exact
-  // sequence the live MarginalGain sums over. Entry indices are recorded
-  // so the backward pass can reference the shared (v, u) pair.
-  FlatHashMap<std::uint64_t, std::uint64_t> entry_of;
-  for (const ActionTuple& t : trace) {
-    const NodeId v = t.user;
-    const std::uint64_t s = data->SlotOf(v, a);
-    data->fwd_begin[s] = data->fwd_node.size();
-    std::uint32_t count = 0;
-    for (NodeId u : table.CreditedUsers(v)) {
-      const double credit = table.Credit(v, u);
-      if (credit > 0.0) {
-        *entry_of.TryEmplace(PairKey(v, u)).first = data->fwd_node.size();
-        data->fwd_node.push_back(u);
-        data->fwd_credit.push_back(credit);
-        ++count;
-      }
-    }
-    data->fwd_count[s] = count;
-  }
-  // Second pass, backward lists, canonicalized to ascending creditor id
-  // (live backward order is insertion-history-dependent and never affects
-  // results; a canonical order makes snapshot bytes reproducible).
-  std::vector<NodeId> creditors;
-  for (const ActionTuple& t : trace) {
-    const NodeId u = t.user;
-    const std::uint64_t s = data->SlotOf(u, a);
-    creditors.clear();
-    for (NodeId w : table.Creditors(u)) {
-      if (table.Credit(w, u) > 0.0) creditors.push_back(w);
-    }
-    std::sort(creditors.begin(), creditors.end());
-    data->bwd_begin[s] = data->bwd_node.size();
-    data->bwd_count[s] = static_cast<std::uint32_t>(creditors.size());
-    for (NodeId w : creditors) {
-      const std::uint64_t* entry = entry_of.Find(PairKey(w, u));
-      assert(entry != nullptr && "backward record without forward entry");
-      data->bwd_node.push_back(w);
-      data->bwd_entry.push_back(*entry);
-    }
-  }
-}
+namespace {
 
+constexpr std::uint32_t kNotInTrace = ~0u;
+
+// Quotients per streamed write of the kFwdQuotient section (256 KiB).
+constexpr std::size_t kQuotientChunk = 32768;
+
+// Slot universe of `log`: au, user_offsets, slot_action; SC zeroed and
+// the other per-slot/per-action arrays sized, ready for FreezeActions.
 void InitSnapshotSlots(const ActionLog& log, SnapshotData* data) {
   const NodeId num_users = log.num_users();
   const ActionId num_actions = log.num_actions();
@@ -155,32 +116,133 @@ void InitSnapshotSlots(const ActionLog& log, SnapshotData* data) {
   data->action_trace_hash.assign(num_actions, 0);
 }
 
+}  // namespace
+
+void ActionFreezer::Freeze(const ActionCreditTable& table, ActionId a,
+                           std::span<const ActionTuple> trace,
+                           SnapshotData* data) {
+  const std::size_t n = trace.size();
+  if (pos_of_.size() != data->num_users) {
+    pos_of_.assign(data->num_users, kNotInTrace);
+  }
+  slot_.resize(n);
+  cursor_.assign(n, 0);  // backward counts first, cursors after the sum
+  for (std::size_t i = 0; i < n; ++i) {
+    pos_of_[trace[i].user] = static_cast<std::uint32_t>(i);
+    slot_[i] = data->SlotOf(trace[i].user, a);
+  }
+
+  // Forward lists: participants in trace order, each list in live
+  // adjacency (first-touch) order with stale ids dropped — the exact
+  // sequence the live MarginalGain sums over. Each entry also counts
+  // toward its target's backward list.
+  const std::uint64_t begin = data->action_entry_begin[a];
+  std::uint64_t e = begin;
+  for (std::size_t i = 0; i < n; ++i) {
+    const NodeId v = trace[i].user;
+    const std::uint64_t s = slot_[i];
+    data->fwd_begin[s] = e;
+    for (NodeId u : table.CreditedUsers(v)) {
+      const double credit = table.Credit(v, u);
+      if (credit > 0.0) {
+        assert(pos_of_[u] != kNotInTrace && "credit to a non-participant");
+        data->fwd_node[e] = u;
+        data->fwd_credit[e] = credit;
+        ++cursor_[pos_of_[u]];
+        ++e;
+      }
+    }
+    data->fwd_count[s] = static_cast<std::uint32_t>(e - data->fwd_begin[s]);
+  }
+  INFLUMAX_CHECK(e == data->action_entry_begin[a + 1])
+      << "action " << a << " froze " << e - begin << " entries, table holds "
+      << table.num_entries();
+
+  // Backward lists, by counting transpose: prefix-sum the per-target
+  // counts in trace order, then scatter the forward entries with the
+  // creditors visited in ascending user id, so each list comes out in
+  // the canonical ascending-creditor order (live backward order is
+  // insertion-history-dependent and never affects results; a canonical
+  // order makes snapshot bytes reproducible).
+  std::uint64_t b = begin;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t count = cursor_[i];
+    data->bwd_begin[slot_[i]] = b;
+    data->bwd_count[slot_[i]] = static_cast<std::uint32_t>(count);
+    cursor_[i] = b;
+    b += count;
+  }
+  by_user_.resize(n);
+  std::iota(by_user_.begin(), by_user_.end(), 0u);
+  std::sort(by_user_.begin(), by_user_.end(),
+            [trace](std::uint32_t x, std::uint32_t y) {
+              return trace[x].user < trace[y].user;
+            });
+  for (const std::uint32_t i : by_user_) {
+    const std::uint64_t s = slot_[i];
+    const std::uint64_t fb = data->fwd_begin[s];
+    for (std::uint64_t f = fb; f < fb + data->fwd_count[s]; ++f) {
+      const std::uint64_t k = cursor_[pos_of_[data->fwd_node[f]]]++;
+      data->bwd_node[k] = trace[i].user;
+      data->bwd_entry[k] = f;
+    }
+  }
+  for (const ActionTuple& t : trace) pos_of_[t.user] = kNotInTrace;
+}
+
+void FreezeActions(
+    const ActionLog& log, std::size_t threads,
+    const std::function<std::uint64_t(ActionId)>& entries_of,
+    const std::function<void(ActionFreezer&, ActionId,
+                             std::span<const ActionTuple>)>& fill,
+    SnapshotData* data) {
+  InitSnapshotSlots(log, data);
+  const ActionId num_actions = log.num_actions();
+  std::uint64_t total = 0;
+  for (ActionId a = 0; a < num_actions; ++a) {
+    data->action_entry_begin[a] = total;
+    total += entries_of(a);
+  }
+  data->action_entry_begin[num_actions] = total;
+  data->fwd_node.resize(total);
+  data->fwd_credit.resize(total);
+  data->bwd_node.resize(total);
+  data->bwd_entry.resize(total);
+
+  std::vector<ActionFreezer> freezers(EffectiveThreadCount(threads));
+  ParallelForDynamic(num_actions, freezers.size(),
+                     [&](std::size_t worker, std::size_t index) {
+                       const auto a = static_cast<ActionId>(index);
+                       const auto trace = log.ActionTrace(a);
+                       data->action_size[a] =
+                           static_cast<std::uint32_t>(trace.size());
+                       data->action_trace_hash[a] = HashActionTrace(trace);
+                       fill(freezers[worker], a, trace);
+                     });
+  data->log_fingerprint =
+      FingerprintTraceHashes(log.num_users(), data->action_trace_hash);
+}
+
 SnapshotData BuildSnapshotData(const UserCreditStore& store,
                                const Graph& graph, const ActionLog& log,
                                double truncation_threshold,
-                               std::span<const NodeId> committed_seeds) {
+                               std::span<const NodeId> committed_seeds,
+                               std::size_t threads) {
   SnapshotData data;
-  InitSnapshotSlots(log, &data);
-  const NodeId num_users = log.num_users();
-  const ActionId num_actions = log.num_actions();
+  FreezeActions(
+      log, threads,
+      [&store](ActionId a) { return store.table(a).num_entries(); },
+      [&store, &data](ActionFreezer& freezer, ActionId a,
+                      std::span<const ActionTuple> trace) {
+        freezer.Freeze(store.table(a), a, trace, &data);
+        const auto slots = freezer.slots();
+        for (std::size_t i = 0; i < trace.size(); ++i) {
+          data.slot_sc[slots[i]] = store.SetCredit(trace[i].user, a);
+        }
+      },
+      &data);
   data.truncation_threshold = truncation_threshold;
   data.graph_fingerprint = FingerprintGraph(graph);
-  data.log_fingerprint = FingerprintActionLog(log);
-  for (NodeId u = 0; u < num_users; ++u) {
-    std::uint64_t s = data.user_offsets[u];
-    for (const UserAction& ua : log.UserActions(u)) {
-      data.slot_sc[s] = store.SetCredit(u, ua.action);
-      ++s;
-    }
-  }
-  for (ActionId a = 0; a < num_actions; ++a) {
-    const auto trace = log.ActionTrace(a);
-    data.action_entry_begin[a] = data.fwd_node.size();
-    data.action_size[a] = static_cast<std::uint32_t>(trace.size());
-    data.action_trace_hash[a] = HashActionTrace(trace);
-    AppendActionFromTable(store.table(a), a, trace, &data);
-  }
-  data.action_entry_begin[num_actions] = data.fwd_node.size();
   data.seeds.assign(committed_seeds.begin(), committed_seeds.end());
   return data;
 }
@@ -227,11 +289,20 @@ Status WriteSnapshotFileImpl(const SnapshotData& data,
   // Note a shard blob's pool divides by its *local* au; engines serving
   // shards under a global-au override get a derived pool from
   // OpenShardedSnapshot instead.
-  std::vector<double> fwd_quot(data.fwd_node.size());
-  for (std::size_t e = 0; e < fwd_quot.size(); ++e) {
-    fwd_quot[e] = data.fwd_credit[e] / data.au[data.fwd_node[e]];
+  // The pool is streamed through a fixed-size buffer, never materialized
+  // at E x 8 bytes; the bytes (and any torn-write offset) are those of a
+  // single WriteVector.
+  const std::size_t num_entries = data.fwd_node.size();
+  std::vector<double> quot(std::min(num_entries, kQuotientChunk));
+  writer.WriteU64(num_entries);
+  for (std::size_t begin = 0; begin < num_entries; begin += quot.size()) {
+    const std::size_t n = std::min(quot.size(), num_entries - begin);
+    for (std::size_t i = 0; i < n; ++i) {
+      quot[i] = data.fwd_credit[begin + i] / data.au[data.fwd_node[begin + i]];
+    }
+    writer.WriteArray(std::span<const double>(quot.data(), n));
   }
-  WriteSection(&writer, fwd_quot);
+  writer.PadToAlignment(8);
   WriteSection(&writer, data.bwd_node);
   WriteSection(&writer, data.bwd_entry);
   WriteSection(&writer, data.action_size);
@@ -264,7 +335,8 @@ Status WriteCreditSnapshot(const CreditDistributionModel& model,
                            const std::string& path) {
   const SnapshotData data = BuildSnapshotData(
       model.store(), model.graph(), model.log(),
-      model.config().truncation_threshold, model.committed_seeds());
+      model.config().truncation_threshold, model.committed_seeds(),
+      model.config().scan_threads);
   return WriteSnapshotFile(data, path);
 }
 

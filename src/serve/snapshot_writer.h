@@ -1,7 +1,9 @@
 #ifndef INFLUMAX_SERVE_SNAPSHOT_WRITER_H_
 #define INFLUMAX_SERVE_SNAPSHOT_WRITER_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -17,24 +19,27 @@ namespace influmax {
 
 /// In-memory image of a credit snapshot, section for section (see
 /// src/serve/snapshot_format.h). Produced by BuildSnapshotData() from a
-/// scanned UserCreditStore, or assembled piecewise by IncrementalRescan()
-/// (copied slices for unchanged actions, freshly scanned tables for
-/// extended ones), then serialized with WriteSnapshotFile().
+/// scanned UserCreditStore, or by IncrementalRescan() (rebased copies for
+/// unchanged actions, freshly scanned tables for extended ones) — both
+/// through FreezeActions() — then serialized with WriteSnapshotFile().
 ///
 /// Invariants the query engine relies on:
 ///  * slots are user-major (user_offsets CSR over users, actions ascending
 ///    within a user — exactly ActionLog::UserActions order);
 ///  * entries are action-major (action_entry_begin CSR) so a per-query
 ///    copy-on-write overlay can shadow one action's credits as a single
-///    contiguous slice;
+///    contiguous slice; an action's backward entries occupy the same
+///    range as its forward ones (every live (v, u) pair appears once in
+///    each direction), and within the action both are laid out slot by
+///    slot in trace order;
 ///  * forward lists preserve the live ActionCreditTable adjacency order
 ///    (the scan's first-touch order) with stale ids dropped, which keeps
 ///    floating-point summation order — and therefore every marginal gain —
 ///    bit-identical to the live model;
 ///  * backward lists are canonicalized to ascending creditor id (the live
 ///    backward order is insertion-dependent but never affects results),
-///    which makes snapshots reproducible byte-for-byte across full builds
-///    and incremental rescans.
+///    which makes snapshots reproducible byte-for-byte across full builds,
+///    incremental rescans and freeze thread counts.
 struct SnapshotData {
   NodeId num_users = 0;
   ActionId num_actions = 0;
@@ -88,30 +93,70 @@ std::uint64_t FingerprintTraceHashes(NodeId num_users,
 /// append-only extension of the snapshotted one, action by action.
 std::uint64_t HashActionTrace(std::span<const ActionTuple> trace);
 
-/// Initializes `data`'s slot universe from `log`: au, user_offsets,
-/// slot_action (SC zeroed), and the per-slot/per-action arrays sized and
-/// zeroed, ready for per-action appends. Entry pools start empty.
-void InitSnapshotSlots(const ActionLog& log, SnapshotData* data);
+/// Per-worker scratch of the freeze kernel (user -> trace position,
+/// per-position slots and backward cursors), reused across the actions
+/// one FreezeActions() worker fills, so steady state allocates nothing.
+class ActionFreezer {
+ public:
+  /// Flattens one scanned action table into `data`'s pre-sized pools: the
+  /// forward lists of the participants in trace order, each in live
+  /// adjacency order with stale ids dropped (one Credit lookup per
+  /// entry), then the backward lists as a counting transpose of those
+  /// forward entries — counted per target participant, prefix-summed in
+  /// trace order and scattered with creditors visited in ascending user
+  /// id, which yields the canonical ascending-creditor order with no hash
+  /// map and no sort per list. Writes only action `a`'s entry range
+  /// [action_entry_begin[a], action_entry_begin[a + 1]) and its own slots,
+  /// so distinct actions may be frozen concurrently. `trace` must be the
+  /// action's scanned trace, and the range must hold table.num_entries().
+  void Freeze(const ActionCreditTable& table, ActionId a,
+              std::span<const ActionTuple> trace, SnapshotData* data);
 
-/// Flattens one scanned action table into `data` (entries appended, slot
-/// arrays written in place). `trace` must be the action's scanned trace;
-/// participants are visited in trace order. Exposed for the incremental
-/// rescan, which mixes this with verbatim copies of unchanged actions.
-void AppendActionFromTable(const ActionCreditTable& table, ActionId a,
-                           std::span<const ActionTuple> trace,
-                           SnapshotData* data);
+  /// Slot of every trace position of the action frozen last.
+  std::span<const std::uint64_t> slots() const { return slot_; }
 
-/// Flattens the whole store. `log` must be the log the store was scanned
-/// from (it defines the slot universe), `graph` the scanned graph.
+ private:
+  std::vector<std::uint32_t> pos_of_;   // user -> trace position
+  std::vector<std::uint64_t> slot_;     // trace position -> slot
+  std::vector<std::uint64_t> cursor_;   // trace position -> next bwd index
+  std::vector<std::uint32_t> by_user_;  // trace positions, ascending user
+};
+
+/// The freeze shared by every producer, in two passes over the actions of
+/// `log`. Count: `entries_of(a)` gives action a's entry total, whose
+/// prefix sum is action_entry_begin, and the four entry pools are sized
+/// to the grand total once. Fill: actions fan out over `threads` workers
+/// (0 = all hardware threads, as CdConfig::scan_threads) with dynamic
+/// scheduling; `fill(freezer, a, trace)` must write exactly action a's
+/// entry range and slots, typically via the worker's `freezer`. Also
+/// writes the slot universe, action_size, action_trace_hash, and the
+/// log fingerprint (chained from those per-action hashes, so each trace
+/// is hashed once). Every write lands at a position fixed by the count
+/// pass, so the result does not depend on the thread count. Graph
+/// fingerprint, truncation threshold, SC and seeds are left to the
+/// caller.
+void FreezeActions(
+    const ActionLog& log, std::size_t threads,
+    const std::function<std::uint64_t(ActionId)>& entries_of,
+    const std::function<void(ActionFreezer& freezer, ActionId a,
+                             std::span<const ActionTuple> trace)>& fill,
+    SnapshotData* data);
+
+/// Flattens the whole store over `threads` freeze workers (0 = all
+/// hardware threads). `log` must be the log the store was scanned from
+/// (it defines the slot universe), `graph` the scanned graph. The bytes
+/// do not depend on `threads`.
 SnapshotData BuildSnapshotData(const UserCreditStore& store,
                                const Graph& graph, const ActionLog& log,
                                double truncation_threshold,
-                               std::span<const NodeId> committed_seeds);
+                               std::span<const NodeId> committed_seeds,
+                               std::size_t threads = 0);
 
 /// Serializes `data` to `path` in the snapshot_format.h layout.
 Status WriteSnapshotFile(const SnapshotData& data, const std::string& path);
 
-/// Convenience: BuildSnapshotData + WriteSnapshotFile for a built model.
+/// Convenience: BuildSnapshotData + WriteSnapshotFile for a built model,
+/// freezing over the model's scan_threads.
 Status WriteCreditSnapshot(const CreditDistributionModel& model,
                            const std::string& path);
 

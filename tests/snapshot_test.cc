@@ -7,9 +7,12 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "common/parallel.h"
 #include "core/cd_model.h"
 #include "core/direct_credit.h"
+#include "common/rng.h"
 #include "datagen/cascade_generator.h"
+#include "graph/generators.h"
 #include "probability/time_params.h"
 #include "serve/query_engine.h"
 #include "serve/snapshot_format.h"
@@ -419,6 +422,182 @@ TEST(SnapshotTest, IncrementalRescanNoChangeIsIdentity) {
   EXPECT_EQ(ReadFileBytes(out), ReadFileBytes(path));
   std::remove(path.c_str());
   std::remove(out.c_str());
+}
+
+// ------------------------------------------------- freeze determinism
+
+// FNV-1a over a file's bytes: the golden pin below.
+std::uint64_t Fnv1a64(const std::string& bytes) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const char c : bytes) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001B3ULL;
+  }
+  return h;
+}
+
+// A graph and a log the freeze inputs below own; models borrow both.
+struct FreezeInput {
+  Graph graph;
+  ActionLog log;
+};
+
+// Preferential-attachment graph with seeded cascades plus one huge action
+// (every node, id order) that clears scan_shard_min_positions, so Build
+// shards it and one freeze worker owns most of the entries. The cascades
+// use Rng bits and integer hop times only (no libm), so the pinned digest
+// does not depend on the platform's math library: each action starts at a
+// random node and crosses each out-edge of an activated node with
+// probability 1/16, one time step per hop.
+FreezeInput HugeActionInput() {
+  const NodeId nodes = 600;
+  auto graph = GeneratePreferentialAttachment({nodes, 4, 0.6}, 1201);
+  INFLUMAX_CHECK(graph.ok());
+  FreezeInput input{std::move(graph).value(), ActionLog()};
+  Rng rng(1202);
+  ActionLogBuilder builder(nodes);
+  std::vector<std::uint32_t> hop(nodes);
+  std::vector<NodeId> frontier;
+  for (std::uint32_t a = 0; a < 60; ++a) {
+    std::fill(hop.begin(), hop.end(), ~0u);
+    const auto start = static_cast<NodeId>(rng.NextBounded(nodes));
+    hop[start] = 0;
+    frontier.assign(1, start);
+    for (std::size_t i = 0; i < frontier.size(); ++i) {
+      const NodeId u = frontier[i];
+      builder.Add(u, a, static_cast<Timestamp>(hop[u]));
+      for (const NodeId v : input.graph.OutNeighbors(u)) {
+        if (hop[v] == ~0u && rng.NextBounded(16) == 0) {
+          hop[v] = hop[u] + 1;
+          frontier.push_back(v);
+        }
+      }
+    }
+  }
+  for (NodeId u = 0; u < nodes; ++u) {
+    builder.Add(u, 1u << 20, static_cast<Timestamp>(u));
+  }
+  auto log = builder.Build();
+  INFLUMAX_CHECK(log.ok());
+  input.log = std::move(log).value();
+  return input;
+}
+
+// A small cascade (action 0) next to actions that freeze to no entries —
+// a single participant, two participants that share no edge, and a chain
+// that runs against its edges — and users 8..11 who perform no action.
+FreezeInput SparseInput() {
+  GraphBuilder gb(12);
+  for (NodeId u = 0; u + 1 < 6; ++u) gb.AddEdge(u, u + 1);
+  gb.AddEdge(0, 2);
+  gb.AddEdge(1, 3);
+  auto graph = gb.Build();
+  INFLUMAX_CHECK(graph.ok());
+  ActionLogBuilder lb(12);
+  for (NodeId u = 0; u < 6; ++u) lb.Add(u, 0, static_cast<Timestamp>(u));
+  lb.Add(4, 1, 1.0);  // a lone participant
+  lb.Add(7, 2, 1.0);  // 6 and 7 share no edge
+  lb.Add(6, 2, 2.0);
+  for (NodeId u = 3; u > 0; --u) lb.Add(u, 3, static_cast<Timestamp>(4 - u));
+  auto log = lb.Build();
+  INFLUMAX_CHECK(log.ok());
+  return {std::move(graph).value(), std::move(log).value()};
+}
+
+// The huge-action model, built so that Build shards the huge action.
+CreditDistributionModel BuildHugeActionModel(const FreezeInput& input) {
+  EqualDirectCredit credit;
+  CdConfig config;
+  config.truncation_threshold = 0.001;
+  config.scan_shard_min_positions = 64;
+  auto model =
+      CreditDistributionModel::Build(input.graph, input.log, credit, config);
+  INFLUMAX_CHECK(model.ok());
+  return std::move(model).value();
+}
+
+// Freezes `model` over `threads` workers and returns the file bytes.
+std::string FrozenBytesAt(const CreditDistributionModel& model,
+                          std::size_t threads) {
+  const SnapshotData data = BuildSnapshotData(
+      model.store(), model.graph(), model.log(),
+      model.config().truncation_threshold, model.committed_seeds(), threads);
+  const std::string path = TempPath("sweep_" + std::to_string(threads) +
+                                    ".snap");
+  INFLUMAX_CHECK(WriteSnapshotFile(data, path).ok());
+  std::string bytes = ReadFileBytes(path);
+  std::remove(path.c_str());
+  return bytes;
+}
+
+// The frozen bytes of fixed inputs, pinned to digests recorded from the
+// earlier serial writer (one pass per action with a per-action entry hash
+// map and a sort per backward list). Equal digests prove the parallel
+// freeze reproduces that writer byte for byte, not merely that it agrees
+// with itself across thread counts.
+TEST(SnapshotTest, FrozenBytesMatchPinnedDigests) {
+  const FreezeInput huge = HugeActionInput();
+  auto model = BuildHugeActionModel(huge);
+  EXPECT_EQ(Fnv1a64(FrozenBytesAt(model, 0)), 0xbbd0ae27dcfcb9aaULL);
+  ASSERT_TRUE(model.SelectSeeds(3).ok());  // three CommitSeed calls
+  EXPECT_EQ(Fnv1a64(FrozenBytesAt(model, 0)), 0x442c39255216f4cfULL);
+  const FreezeInput sparse = SparseInput();
+  EqualDirectCredit credit;
+  auto sparse_model = BuildModel(sparse.graph, sparse.log, credit);
+  EXPECT_EQ(Fnv1a64(FrozenBytesAt(sparse_model, 0)), 0xcb94ce96897d6bc7ULL);
+}
+
+// Serial, even, odd and hardware freeze widths all write the same file.
+void ExpectFreezeIndependentOfThreads(const CreditDistributionModel& model,
+                                      const std::string& label) {
+  const std::string serial = FrozenBytesAt(model, 1);
+  ASSERT_FALSE(serial.empty()) << label;
+  for (const std::size_t threads :
+       {std::size_t{2}, std::size_t{7}, EffectiveThreadCount(0)}) {
+    EXPECT_EQ(FrozenBytesAt(model, threads), serial)
+        << label << ": " << threads << " freeze threads";
+  }
+}
+
+TEST(SnapshotTest, FreezeBytesIndependentOfThreadCount) {
+  const FreezeInput huge = HugeActionInput();
+  auto model = BuildHugeActionModel(huge);
+  ExpectFreezeIndependentOfThreads(model, "huge action");
+  const std::uint64_t entries = model.credit_entries();
+  ASSERT_TRUE(model.SelectSeeds(3).ok());
+  ASSERT_LT(model.credit_entries(), entries);  // erasures happened
+  ExpectFreezeIndependentOfThreads(model, "after CommitSeed");
+  const FreezeInput sparse = SparseInput();
+  EqualDirectCredit credit;
+  ExpectFreezeIndependentOfThreads(
+      BuildModel(sparse.graph, sparse.log, credit), "sparse log");
+}
+
+// The rescan freezes over config.scan_threads; every width reproduces
+// the full rebuild, including the huge action's sharded rescan.
+TEST(SnapshotTest, IncrementalRescanBytesIndependentOfThreadCount) {
+  const FreezeInput huge = HugeActionInput();
+  const ActionLog prefix = PrefixLog(huge.log, 0.5);
+  EqualDirectCredit credit;
+  CdConfig config;
+  config.truncation_threshold = 0.001;
+  config.scan_shard_min_positions = 64;
+  auto old_model =
+      CreditDistributionModel::Build(huge.graph, prefix, credit, config);
+  ASSERT_TRUE(old_model.ok());
+  const std::string old_path = TempPath("rescan_sweep_old.snap");
+  auto view = WriteAndOpen(*old_model, old_path);
+  const std::string full = FrozenBytesAt(BuildHugeActionModel(huge), 0);
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{7}, std::size_t{0}}) {
+    config.scan_threads = threads;
+    const std::string out = TempPath("rescan_sweep_out.snap");
+    ASSERT_TRUE(
+        IncrementalRescan(view, huge.graph, huge.log, credit, config, out)
+            .ok());
+    EXPECT_EQ(ReadFileBytes(out), full) << threads << " rescan threads";
+    std::remove(out.c_str());
+  }
+  std::remove(old_path.c_str());
 }
 
 // --------------------------------------------------------- memory report
