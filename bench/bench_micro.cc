@@ -756,7 +756,7 @@ BENCHMARK(BM_EmIteration)->Arg(500);
 // `--json=out.json` (or `--json out.json`) writes the run as
 // {bench_name: {ns_per_op, bytes, threads}} — the compact contract CI
 // archives as BENCH_micro.json so the perf trajectory is diffable across
-// PRs (serve_credit --bench --json emits the same shape, via the shared
+// PRs (serve_shards --bench --json emits the same shape, via the shared
 // common/bench_json.h writer).
 
 // google-benchmark <= 1.7 flags failed runs with `error_occurred`; 1.8+

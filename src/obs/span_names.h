@@ -25,7 +25,7 @@ enum SpanName : std::uint16_t {
   kSpanRouterCommit = 3,
   kSpanRouterTopk = 4,
 
-  // Serving CLI query scopes (tools/serve_credit.cc, serve_shards.cc).
+  // Serving CLI query scopes (tools/serve_shards.cc).
   kSpanQueryTopk = 5,
   kSpanQueryGain = 6,
   kSpanQueryCommit = 7,

@@ -39,19 +39,18 @@ struct IngestStats {
 /// directory while new generations are ingested and swapped in without
 /// dropping a query (docs/sharding.md).
 ///
-/// The swap is the epoch-publication scheme proven in
-/// ConcurrentFlatHashMap (src/common/concurrent_flat_hash.h), applied to
-/// whole generations instead of hash tables: a Session pins the current
-/// epoch in its own cache-line slot and loads the published generation
-/// pointer; the writer (IngestLog / RefreshFromDisk) swaps the pointer
-/// with one atomic exchange, retires the old generation, bumps the
-/// global epoch, and reclaims — unmaps — a retired generation only when
-/// every registered session has re-pinned past its retire epoch. A
-/// session therefore always sees one internally consistent generation
-/// for as long as it stays pinned ("pre-swap-consistent"), and an old
-/// generation's mmaps are never unmapped under a live reader. The same
-/// seq_cst pin-before-load / swap-before-retire argument applies
-/// verbatim.
+/// The swap is epoch-based publication applied to whole generations: a
+/// Session pins the current epoch in its own cache-line slot and loads
+/// the published generation pointer; the writer (IngestLog /
+/// RefreshFromDisk) swaps the pointer with one atomic exchange, retires
+/// the old generation, bumps the global epoch, and reclaims — unmaps — a
+/// retired generation only when every registered session has re-pinned
+/// past its retire epoch. A session therefore always sees one internally
+/// consistent generation for as long as it stays pinned
+/// ("pre-swap-consistent"), and an old generation's mmaps are never
+/// unmapped under a live reader. Correctness rests on seq_cst ordering:
+/// a reader pins before it loads the pointer, and the writer swaps the
+/// pointer before it retires the old generation.
 ///
 /// Concurrency contract: any number of Sessions (each used by one thread
 /// at a time); all writer-side calls (IngestLog, RefreshFromDisk,
@@ -92,9 +91,9 @@ class GenerationManager {
   /// Generation number of the latest published manifest. Call from the
   /// writer thread, or from a thread holding a live Session: a pinned
   /// session keeps any generation loaded here from being reclaimed
-  /// between the load and the read (the same argument as Guard reads in
-  /// ConcurrentFlatHashMap); with neither, a concurrent publish could
-  /// reclaim it mid-read.
+  /// between the load and the read (reclamation waits for every pinned
+  /// epoch); with neither, a concurrent publish could reclaim it
+  /// mid-read.
   std::uint64_t current_generation() const {
     return published_.load()->shards.manifest.generation;
   }

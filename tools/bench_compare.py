@@ -2,7 +2,7 @@
 """Perf-regression guard: diff a BENCH_micro.json run against a baseline.
 
 Both files carry the machine-readable shape bench_micro --json and
-serve_credit --bench --json emit (src/common/bench_json.h):
+serve_shards --bench --json emit (src/common/bench_json.h):
 
     { "BM_Name/arg": {"ns_per_op": 123.4, "bytes": 0, "threads": 4, ...} }
 

@@ -1,21 +1,25 @@
 #ifndef INFLUMAX_TOOLS_SERVE_COMMON_H_
 #define INFLUMAX_TOOLS_SERVE_COMMON_H_
 
-// Helpers shared by the serving CLIs (serve_credit, serve_shards):
+// Helpers shared by the serving CLIs (serve_shards, shard_server):
 // graph/log loading with binary-or-text dispatch, direct-credit model
 // selection, error reporting, LatencyHistogram -> bench-record
-// percentile plumbing, and the metrics exposition surface (the `metrics`
-// REPL command, --metrics_json / --metrics_prom dumps —
-// docs/observability.md). Header-only; tools are single-TU binaries.
+// percentile plumbing, the `failpoint` REPL command, and the metrics
+// exposition surface (the `metrics` REPL command, --metrics_json /
+// --metrics_prom dumps — docs/observability.md). Header-only; tools are
+// single-TU binaries.
 
 #include <cstdio>
+#include <initializer_list>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "actionlog/log_io.h"
 #include "common/bench_json.h"
+#include "common/failpoint.h"
 #include "common/histogram.h"
 #include "common/status.h"
 #include "core/direct_credit.h"
@@ -81,19 +85,63 @@ inline BenchJsonRecord WithPercentiles(BenchJsonRecord record,
   return record;
 }
 
-inline void PrintPercentiles(const char* label, const LatencyHistogram& hist,
-                             double ns_per_unit, const char* unit) {
-  std::printf("  %s percentiles: p50 %.3f %s, p95 %.3f %s, p99 %.3f %s "
-              "(%llu samples)\n",
-              label, hist.Percentile(50.0) / ns_per_unit, unit,
-              hist.Percentile(95.0) / ns_per_unit, unit,
-              hist.Percentile(99.0) / ns_per_unit, unit,
-              static_cast<unsigned long long>(hist.count()));
+/// `failpoint list|arm NAME SPEC|disarm NAME|disarm all`. Always parsed
+/// (the subcommands print FailedPrecondition when the build compiled
+/// failpoints out, rather than pretending to inject anything).
+inline void HandleFailpointCommand(std::istringstream& in) {
+  std::string verb;
+  in >> verb;
+  if (verb == "list") {
+    const auto names = FailpointCatalog();
+    if (!FailpointsCompiledIn()) {
+      std::printf("! failpoints are compiled out "
+                  "(build with -DINFLUMAX_FAILPOINTS=ON)\n");
+    } else if (names.empty()) {
+      std::printf("# no failpoints armed or evaluated yet\n");
+    }
+    for (const std::string& name : names) {
+      std::printf("%s\ttrips=%llu\n", name.c_str(),
+                  static_cast<unsigned long long>(FailpointTripCount(name)));
+    }
+  } else if (verb == "arm") {
+    std::string name;
+    std::string spec_text;
+    in >> name >> spec_text;
+    if (name.empty() || spec_text.empty()) {
+      std::printf("! usage: failpoint arm NAME SPEC (e.g. torn:128@1#2)\n");
+      return;
+    }
+    auto spec = ParseFailpointSpec(spec_text);
+    if (!spec.ok()) {
+      std::printf("! %s\n", spec.status().ToString().c_str());
+      return;
+    }
+    if (Status status = ArmFailpoint(name, *spec); !status.ok()) {
+      std::printf("! %s\n", status.ToString().c_str());
+      return;
+    }
+    std::printf("# armed %s=%s\n", name.c_str(), spec_text.c_str());
+  } else if (verb == "disarm") {
+    std::string name;
+    in >> name;
+    if (name.empty()) {
+      std::printf("! usage: failpoint disarm NAME|all\n");
+    } else if (name == "all") {
+      DisarmAllFailpoints();
+      std::printf("# all failpoints disarmed\n");
+    } else {
+      DisarmFailpoint(name);
+      std::printf("# disarmed %s\n", name.c_str());
+    }
+  } else {
+    std::printf("! usage: failpoint list | arm NAME SPEC | disarm NAME|all\n");
+  }
 }
 
 // ------------------------------------------------------------- metrics
 
-/// Always-on per-REPL-query telemetry, shared by both serving CLIs.
+/// Always-on per-REPL-query telemetry, recorded by the serve_shards REPL
+/// in --dir and --connect mode alike.
 /// The engine/router gain probes are sampled (1 in kObsSampleEvery), so
 /// a short interactive session may never trip them; these timers wrap
 /// every REPL query exactly, which is cheap at REPL rate and guarantees
@@ -123,6 +171,20 @@ inline const ServeQueryMetrics& GetServeQueryMetrics() {
     return m;
   }();
   return metrics;
+}
+
+/// Ends a REPL `stats` line with ` label=value` per registry counter,
+/// in order; a counter the registry never created reads 0.
+inline void PrintCounters(
+    const MetricsSnapshot& snap,
+    std::initializer_list<std::pair<const char*, const char*>> counters) {
+  for (const auto& [label, name] : counters) {
+    const auto* counter = snap.FindCounter(name);
+    std::printf(" %s=%llu", label,
+                static_cast<unsigned long long>(
+                    counter != nullptr ? counter->value : 0));
+  }
+  std::printf("\n");
 }
 
 /// Human-readable table of a registry snapshot (the `metrics` REPL
@@ -212,7 +274,7 @@ struct MetricsDump {
   }
 };
 
-/// The `metrics [prom|spans]` REPL command, shared by both serving CLIs:
+/// The serve_shards `metrics [prom|spans]` REPL command (both modes):
 /// plain -> human table, `prom` -> Prometheus text on stdout, `spans` ->
 /// the session span ring. Refreshes the --metrics_json/--metrics_prom
 /// dumps on every invocation.

@@ -43,8 +43,10 @@
 // Merge, per-shard gain-term p50/p95/p99 in --json):
 //   serve_shards --bench --dir=D [--threads=4 --k=50 --json=out.json]
 //
-// Cross-process serving (docs/networking.md). Connect the same REPL to
-// running shard_server processes — one slot per action-range shard in
+// Cross-process serving (docs/networking.md). Connect the same REPL —
+// one command loop, the same answers and serve.query.* telemetry; pgain,
+// recover and failpoint stay --dir only, probe and trace --connect only —
+// to running shard_server processes, one slot per action-range shard in
 // range order, '|'-separated replicas per slot:
 //   serve_shards --connect="host:p0|host:p0b,host:p1" [--rpc_deadline_ms=N]
 // Every --connect query runs under the distributed trace collector
@@ -71,6 +73,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "actionlog/log_io.h"
@@ -119,61 +122,6 @@ void PrintRecoveryReport(const RecoveryReport& report) {
                report.removed.size(), report.quarantined.size());
   for (const std::string& q : report.quarantined) {
     std::fprintf(stderr, "  quarantined: %s\n", q.c_str());
-  }
-}
-
-/// `failpoint list|arm NAME SPEC|disarm NAME|disarm all`. Always parsed
-/// (the subcommands print FailedPrecondition when the build compiled
-/// failpoints out, rather than pretending to inject anything).
-void HandleFailpointCommand(std::istringstream& in) {
-  std::string verb;
-  in >> verb;
-  if (verb == "list") {
-    const auto names = FailpointCatalog();
-    if (!FailpointsCompiledIn()) {
-      std::printf("! failpoints are compiled out "
-                  "(build with -DINFLUMAX_FAILPOINTS=ON)\n");
-    } else if (names.empty()) {
-      std::printf("# no failpoints armed or evaluated yet\n");
-    }
-    for (const std::string& name : names) {
-      std::printf("%s\ttrips=%llu\n", name.c_str(),
-                  static_cast<unsigned long long>(FailpointTripCount(name)));
-    }
-  } else if (verb == "arm") {
-    std::string name;
-    std::string spec_text;
-    in >> name >> spec_text;
-    if (name.empty() || spec_text.empty()) {
-      std::printf("! usage: failpoint arm NAME SPEC (e.g. torn:128@1#2)\n");
-      return;
-    }
-    auto spec = ParseFailpointSpec(spec_text);
-    if (!spec.ok()) {
-      std::printf("! %s\n", spec.status().ToString().c_str());
-      return;
-    }
-    if (Status status = ArmFailpoint(name, *spec); !status.ok()) {
-      std::printf("! %s\n", status.ToString().c_str());
-      return;
-    }
-    std::printf("# armed %s=%s\n", name.c_str(), spec_text.c_str());
-  } else if (verb == "disarm") {
-    std::string name;
-    in >> name;
-    if (name.empty()) {
-      std::printf("! usage: failpoint disarm NAME|all\n");
-      return;
-    }
-    if (name == "all") {
-      DisarmAllFailpoints();
-      std::printf("# all failpoints disarmed\n");
-    } else {
-      DisarmFailpoint(name);
-      std::printf("# disarmed %s\n", name.c_str());
-    }
-  } else {
-    std::printf("! usage: failpoint list | arm NAME SPEC | disarm NAME|all\n");
   }
 }
 
@@ -281,23 +229,57 @@ void PrintSelection(const SnapshotSeedSelection& selection) {
               static_cast<unsigned long long>(selection.gain_evaluations));
 }
 
-int RunServe(GenerationManager& manager, WorkerPool* pool,
-             GainKernelMode kernel_mode, const MetricsDump& dump) {
+/// Prints `! <status>` for a failed answer; true when it did.
+bool PrintIfError(const Status& status) {
+  if (status.ok()) return false;
+  std::printf("! %s\n", status.ToString().c_str());
+  return true;
+}
+
+/// The `refresh` / `recover` answer line.
+void PrintRefresh(const Result<bool>& moved, std::uint64_t generation) {
+  if (PrintIfError(moved.status())) return;
+  std::printf("# generation %llu%s\n",
+              static_cast<unsigned long long>(generation),
+              *moved ? " (swapped)" : " (unchanged)");
+}
+
+/// Runs one REPL query with the same telemetry in both serving modes:
+/// the serve.query.* timer, a span in the session ring (`metrics spans`)
+/// and, when the backend has a trace collector (--connect), the root of
+/// the query's distributed trace. In-process session mutations return
+/// void and answer Status::OK(); every other answer is returned as is
+/// (a plain value in-process, a Result or Status from the remote
+/// router), for the caller to take as a Result.
+template <typename Backend, typename Query>
+auto RunQuery(Backend& backend, std::uint16_t name, std::uint64_t detail,
+              Timer* timer, Query&& query) {
+  ObsSpan span(&backend.ring(), name, detail, timer);
+  TraceCollector* collector = backend.collector();
+  if (collector != nullptr) collector->StartTrace(name, detail);
+  auto answer = [&] {
+    if constexpr (std::is_void_v<std::invoke_result_t<Query>>) {
+      query();
+      return Status::OK();
+    } else {
+      return query();
+    }
+  }();
+  if (collector != nullptr) collector->EndTrace();
+  return answer;
+}
+
+/// The serving REPL, one query per stdin line, shared by --dir and
+/// --connect. `Backend` supplies the router (ShardRouter or
+/// RemoteShardRouter), the session span ring, the optional trace
+/// collector, refresh, the stats line, and its own extra commands.
+template <typename Backend>
+int RunQueryLoop(Backend& backend, const MetricsDump& dump) {
+  using Router = std::remove_reference_t<decltype(backend.router())>;
+  constexpr bool kParallelGain = requires(Router& r, NodeId x) {
+    r.MarginalGainParallel(x);
+  };
   const ServeQueryMetrics& qm = GetServeQueryMetrics();
-  SpanRing ring(256);
-  GenerationManager::Session session(manager, pool);
-  session.router().set_kernel_mode(kernel_mode);
-  session.router().set_span_ring(&ring);
-  {
-    const ShardManifest& m = session.shards().manifest;
-    PrintManifest(m, "serving");
-    std::fprintf(stderr, "%u users, lambda %g, pool %zu workers, "
-                 "kernel %s (%s)\n",
-                 m.num_users, m.truncation_threshold,
-                 pool == nullptr ? 1 : pool->num_workers(),
-                 GainKernelModeName(kernel_mode),
-                 GainKernelBackendName(ActiveGainKernelBackend()));
-  }
   std::string line;
   while (std::getline(std::cin, line)) {
     std::istringstream in(line);
@@ -305,7 +287,12 @@ int RunServe(GenerationManager& manager, WorkerPool* pool,
     in >> command;
     if (command.empty() || command[0] == '#') continue;
     if (command == "quit" || command == "exit") break;
-    ShardRouter& router = session.router();
+    Router& router = backend.router();
+    const auto count_kernel = [&] {
+      (router.kernel_mode() == GainKernelMode::kFastMath ? qm.kernel_fast
+                                                         : qm.kernel_exact)
+          ->Increment();
+    };
     if (command == "topk") {
       NodeId k = 0;
       in >> k;
@@ -313,179 +300,210 @@ int RunServe(GenerationManager& manager, WorkerPool* pool,
       if (!(in >> budget)) budget = std::numeric_limits<double>::infinity();
       if (k == 0) {
         std::printf("! usage: topk K [BUDGET]\n");
-        std::fflush(stdout);
-        continue;
+      } else {
+        Result<SnapshotSeedSelection> selection =
+            RunQuery(backend, kSpanQueryTopk, k, qm.topk,
+                     [&] { return router.TopKSeeds(k, budget); });
+        count_kernel();
+        if (!PrintIfError(selection.status())) PrintSelection(*selection);
       }
-      SnapshotSeedSelection selection;
-      {
-        ObsSpan span(&ring, kSpanQueryTopk, k, qm.topk);
-        selection = router.TopKSeeds(k, budget);
-      }
-      (router.kernel_mode() == GainKernelMode::kFastMath ? qm.kernel_fast
-                                                         : qm.kernel_exact)
-          ->Increment();
-      PrintSelection(selection);
-    } else if (command == "gain" || command == "pgain" ||
-               command == "commit") {
+    } else if (command == "gain" || command == "commit" ||
+               (kParallelGain && command == "pgain")) {
       // A failed extraction writes 0, not the sentinel — committing
       // node 0 on a typo would silently poison the session.
       NodeId x = kInvalidNode;
       if (!(in >> x)) {
         std::printf("! usage: %s NODE\n", command.c_str());
-        std::fflush(stdout);
-        continue;
-      }
-      if (command == "commit") {
-        {
-          ObsSpan span(&ring, kSpanQueryCommit, x, qm.commit);
-          router.CommitSeed(x);
+      } else if (command == "commit") {
+        const Status status = RunQuery(backend, kSpanQueryCommit, x,
+                                       qm.commit,
+                                       [&] { return router.CommitSeed(x); });
+        if (!PrintIfError(status)) {
+          std::printf("# %zu session seeds\n", router.session_seeds().size());
         }
-        std::printf("# %zu session seeds\n", router.session_seeds().size());
       } else {
-        double gain = 0.0;
-        {
-          ObsSpan span(&ring, kSpanQueryGain, x, qm.gain);
-          gain = command == "gain" ? router.MarginalGain(x)
-                                   : router.MarginalGainParallel(x);
-        }
-        (router.kernel_mode() == GainKernelMode::kFastMath ? qm.kernel_fast
-                                                           : qm.kernel_exact)
-            ->Increment();
-        std::printf("%.6f\n", gain);
+        Result<double> gain =
+            RunQuery(backend, kSpanQueryGain, x, qm.gain, [&] {
+              if constexpr (kParallelGain) {
+                if (command == "pgain") return router.MarginalGainParallel(x);
+              }
+              return router.MarginalGain(x);
+            });
+        count_kernel();
+        if (!PrintIfError(gain.status())) std::printf("%.6f\n", *gain);
       }
     } else if (command == "spread") {
       std::vector<NodeId> seeds;
       NodeId x;
       while (in >> x) seeds.push_back(x);
-      double spread = 0.0;
-      {
-        ObsSpan span(&ring, kSpanQuerySpread, seeds.size(), qm.spread);
-        spread = router.SpreadOf(seeds);
-      }
-      (router.kernel_mode() == GainKernelMode::kFastMath ? qm.kernel_fast
-                                                         : qm.kernel_exact)
-          ->Increment();
-      std::printf("%.6f\n", spread);
+      Result<double> spread =
+          RunQuery(backend, kSpanQuerySpread, seeds.size(), qm.spread,
+                   [&] { return router.SpreadOf(seeds); });
+      count_kernel();
+      if (!PrintIfError(spread.status())) std::printf("%.6f\n", *spread);
     } else if (command == "reset") {
-      {
-        ObsSpan span(&ring, kSpanQueryReset, 0, qm.reset);
-        router.ResetSession();
-      }
-      std::printf("# session reset\n");
+      const Status status = RunQuery(backend, kSpanQueryReset, 0, qm.reset,
+                                     [&] { return router.ResetSession(); });
+      if (!PrintIfError(status)) std::printf("# session reset\n");
     } else if (command == "refresh") {
-      const bool moved = session.Refresh();
-      // A swap builds a fresh router (default kernel, no span ring);
-      // re-apply both.
-      if (moved) {
-        session.router().set_kernel_mode(kernel_mode);
-        session.router().set_span_ring(&ring);
-      }
-      std::printf("# generation %llu%s\n",
-                  static_cast<unsigned long long>(session.generation()),
-                  moved ? " (swapped)" : " (unchanged)");
-    } else if (command == "recover") {
-      // Self-healing while serving: sweep the directory, then re-pin —
-      // the session keeps answering from its pinned mmaps throughout,
-      // even if recovery repointed CURRENT under it.
-      auto report = RecoverGenerationDir(manager.dir());
-      if (!report.ok()) {
-        std::printf("! %s\n", report.status().ToString().c_str());
-        std::fflush(stdout);
-        continue;
-      }
-      PrintRecoveryReport(*report);
-      if (auto refreshed = manager.RefreshFromDisk(); !refreshed.ok()) {
-        std::printf("! refresh after recover: %s\n",
-                    refreshed.status().ToString().c_str());
-        std::fflush(stdout);
-        continue;
-      }
-      const bool moved = session.Refresh();
-      if (moved) {
-        session.router().set_kernel_mode(kernel_mode);
-        session.router().set_span_ring(&ring);
-      }
-      std::printf("# generation %llu%s\n",
-                  static_cast<unsigned long long>(session.generation()),
-                  moved ? " (swapped)" : " (unchanged)");
-    } else if (command == "failpoint") {
-      HandleFailpointCommand(in);
+      PrintRefresh(backend.Refresh(), backend.generation());
     } else if (command == "metrics") {
-      HandleMetricsCommand(in, ring, dump);
-    } else {
-      if (command != "stats") {
-        std::printf("! unknown command '%s' (topk | gain | pgain | commit | "
-                    "spread | reset | refresh | recover | failpoint ... | "
-                    "stats | metrics [prom|spans] | quit)\n",
-                    command.c_str());
-        std::fflush(stdout);
-        continue;
-      }
-      const ShardManifest& m = session.shards().manifest;
-      std::uint64_t mapped = 0;
-      for (const CreditSnapshotView& view : session.shards().views) {
-        mapped += view.ApproxMemoryBytes();
-      }
-      // Lifecycle counters come from the metrics registry — the same
-      // values `metrics` and the Prometheus dump expose — so stats stays
-      // one scrape, not a parallel set of ad-hoc counters. Under
-      // INFLUMAX_OBS_OFF the scrape is empty and the gauges fall back to
-      // what the manager can answer directly.
-      const MetricsSnapshot snap = MetricsRegistry::Global().Scrape();
-      const auto counter_of = [&snap](const char* name) {
-        const auto* c = snap.FindCounter(name);
-        return c != nullptr ? c->value : 0;
-      };
-      const auto* retired_gauge = snap.FindGauge("shard.generation.retired");
-      const auto* pinned_gauge =
-          snap.FindGauge("shard.generation.pinned_sessions");
-      const std::uint64_t retired =
-          retired_gauge != nullptr
-              ? static_cast<std::uint64_t>(retired_gauge->value)
-              : manager.retired_generations();
-      std::printf(
-          "generation=%llu latest=%llu shards=%zu users=%u actions=%u "
-          "lambda=%g session_seeds=%zu mapped=%llu router=%llu "
-          "retired=%llu pinned_sessions=%lld swaps=%llu ingests=%llu "
-          "replayed_tuples=%llu watch_ticks=%llu watch_errors=%llu "
-          "ingest_failures=%llu recovery_events=%llu quarantined=%llu "
-          "pool_jobs=%llu net_rpc=%llu net_rpc_errors=%llu "
-          "net_failovers=%llu net_reconnects=%llu "
-          "net_server_requests=%llu net_server_errors=%llu "
-          "net_server_rejected=%llu net_server_deadline_exceeded=%llu\n",
-          static_cast<unsigned long long>(session.generation()),
-          static_cast<unsigned long long>(manager.current_generation()),
-          m.num_shards(), m.num_users, m.num_actions,
-          m.truncation_threshold, router.session_seeds().size(),
-          static_cast<unsigned long long>(mapped),
-          static_cast<unsigned long long>(router.ApproxMemoryBytes()),
-          static_cast<unsigned long long>(retired),
-          pinned_gauge != nullptr ? static_cast<long long>(pinned_gauge->value)
-                                  : 1LL,
-          static_cast<unsigned long long>(
-              counter_of("shard.generation.swaps")),
-          static_cast<unsigned long long>(counter_of("shard.ingest.count")),
-          static_cast<unsigned long long>(
-              counter_of("shard.ingest.replayed_tuples")),
-          static_cast<unsigned long long>(counter_of("shard.watch.ticks")),
-          static_cast<unsigned long long>(counter_of("shard.watch.errors")),
-          static_cast<unsigned long long>(counter_of("gen.ingest_failures")),
-          static_cast<unsigned long long>(counter_of("gen.recovery_events")),
-          static_cast<unsigned long long>(counter_of("gen.quarantined")),
-          static_cast<unsigned long long>(counter_of("pool.jobs")),
-          static_cast<unsigned long long>(counter_of("net.rpc.count")),
-          static_cast<unsigned long long>(counter_of("net.rpc.errors")),
-          static_cast<unsigned long long>(counter_of("net.failovers")),
-          static_cast<unsigned long long>(counter_of("net.reconnects")),
-          static_cast<unsigned long long>(counter_of("net.server.requests")),
-          static_cast<unsigned long long>(counter_of("net.server.errors")),
-          static_cast<unsigned long long>(counter_of("net.server.rejected")),
-          static_cast<unsigned long long>(
-              counter_of("net.server.deadline_exceeded")));
+      HandleMetricsCommand(in, backend.ring(), dump);
+    } else if (command == "stats") {
+      backend.PrintStats();
+    } else if (!backend.HandleExtra(command, in)) {
+      std::printf("! unknown command '%s' (%s)\n", command.c_str(),
+                  Backend::kCommands);
     }
     std::fflush(stdout);
   }
   return dump.DumpAll();
+}
+
+/// --dir serving: one GenerationManager session answered by the
+/// in-process ShardRouter. Adds pgain (the router's pool-parallel
+/// gain), recover and failpoint to the shared vocabulary.
+class LocalServe {
+ public:
+  static constexpr const char* kCommands =
+      "topk | gain | pgain | commit | spread | reset | refresh | recover | "
+      "failpoint ... | stats | metrics [prom|spans] | quit";
+
+  LocalServe(GenerationManager& manager, WorkerPool* pool,
+             GainKernelMode kernel_mode)
+      : manager_(manager), session_(manager, pool), kernel_mode_(kernel_mode) {
+    ConfigureRouter();
+  }
+
+  ShardRouter& router() { return session_.router(); }
+  SpanRing& ring() { return ring_; }
+  TraceCollector* collector() { return nullptr; }
+  const ShardManifest& manifest() const { return session_.shards().manifest; }
+  std::uint64_t generation() const { return session_.generation(); }
+
+  Result<bool> Refresh() {
+    const bool moved = session_.Refresh();
+    if (moved) ConfigureRouter();
+    return moved;
+  }
+
+  bool HandleExtra(const std::string& command, std::istringstream& in) {
+    if (command == "failpoint") {
+      HandleFailpointCommand(in);
+      return true;
+    }
+    if (command != "recover") return false;
+    // Self-healing while serving: sweep the directory, then re-pin —
+    // the session keeps answering from its pinned mmaps throughout,
+    // even if recovery repointed CURRENT under it.
+    auto report = RecoverGenerationDir(manager_.dir());
+    if (PrintIfError(report.status())) return true;
+    PrintRecoveryReport(*report);
+    if (auto refreshed = manager_.RefreshFromDisk(); !refreshed.ok()) {
+      std::printf("! refresh after recover: %s\n",
+                  refreshed.status().ToString().c_str());
+      return true;
+    }
+    PrintRefresh(Refresh(), generation());
+    return true;
+  }
+
+  void PrintStats() {
+    const ShardManifest& m = manifest();
+    std::uint64_t mapped = 0;
+    for (const CreditSnapshotView& view : session_.shards().views) {
+      mapped += view.ApproxMemoryBytes();
+    }
+    // Lifecycle counters come from the metrics registry — the same
+    // values `metrics` and the Prometheus dump expose — so stats stays
+    // one scrape, not a parallel set of ad-hoc counters. Under
+    // INFLUMAX_OBS_OFF the scrape is empty and the gauges fall back to
+    // what the manager can answer directly.
+    const MetricsSnapshot snap = MetricsRegistry::Global().Scrape();
+    const auto* retired_gauge = snap.FindGauge("shard.generation.retired");
+    const auto* pinned_gauge =
+        snap.FindGauge("shard.generation.pinned_sessions");
+    const std::uint64_t retired =
+        retired_gauge != nullptr
+            ? static_cast<std::uint64_t>(retired_gauge->value)
+            : manager_.retired_generations();
+    std::printf(
+        "generation=%llu latest=%llu shards=%zu users=%u actions=%u "
+        "lambda=%g session_seeds=%zu mapped=%llu router=%llu "
+        "retired=%llu pinned_sessions=%lld",
+        static_cast<unsigned long long>(generation()),
+        static_cast<unsigned long long>(manager_.current_generation()),
+        m.num_shards(), m.num_users, m.num_actions, m.truncation_threshold,
+        router().session_seeds().size(),
+        static_cast<unsigned long long>(mapped),
+        static_cast<unsigned long long>(router().ApproxMemoryBytes()),
+        static_cast<unsigned long long>(retired),
+        pinned_gauge != nullptr ? static_cast<long long>(pinned_gauge->value)
+                                : 1LL);
+    PrintCounters(snap, {{"swaps", "shard.generation.swaps"},
+                         {"ingests", "shard.ingest.count"},
+                         {"replayed_tuples", "shard.ingest.replayed_tuples"},
+                         {"watch_ticks", "shard.watch.ticks"},
+                         {"watch_errors", "shard.watch.errors"},
+                         {"ingest_failures", "gen.ingest_failures"},
+                         {"recovery_events", "gen.recovery_events"},
+                         {"quarantined", "gen.quarantined"},
+                         {"pool_jobs", "pool.jobs"},
+                         {"net_rpc", "net.rpc.count"},
+                         {"net_rpc_errors", "net.rpc.errors"},
+                         {"net_failovers", "net.failovers"},
+                         {"net_reconnects", "net.reconnects"},
+                         {"net_server_requests", "net.server.requests"},
+                         {"net_server_errors", "net.server.errors"},
+                         {"net_server_rejected", "net.server.rejected"},
+                         {"net_server_deadline_exceeded",
+                          "net.server.deadline_exceeded"}});
+  }
+
+
+ private:
+  /// A swap builds a fresh router (default kernel, no span ring).
+  void ConfigureRouter() {
+    router().set_kernel_mode(kernel_mode_);
+    router().set_span_ring(&ring_);
+  }
+
+  GenerationManager& manager_;
+  SpanRing ring_{256};  // before session_: its router points here
+  GenerationManager::Session session_;
+  GainKernelMode kernel_mode_;
+};
+
+int RunServe(GenerationManager& manager, WorkerPool* pool,
+             GainKernelMode kernel_mode, const MetricsDump& dump) {
+  LocalServe backend(manager, pool, kernel_mode);
+  const ShardManifest& m = backend.manifest();
+  PrintManifest(m, "serving");
+  std::fprintf(stderr, "%u users, lambda %g, pool %zu workers, "
+               "kernel %s (%s)\n",
+               m.num_users, m.truncation_threshold,
+               pool == nullptr ? 1 : pool->num_workers(),
+               GainKernelModeName(kernel_mode),
+               GainKernelBackendName(ActiveGainKernelBackend()));
+  return RunQueryLoop(backend, dump);
+}
+
+/// One bench latency line: p50/p95/p99 in microseconds.
+void PrintHistogram(const char* label, const LatencyHistogram& hist) {
+  std::printf("  %s: p50 %.3f us, p95 %.3f us, p99 %.3f us (%llu "
+              "samples)\n",
+              label, hist.Percentile(50.0) / 1e3, hist.Percentile(95.0) / 1e3,
+              hist.Percentile(99.0) / 1e3,
+              static_cast<unsigned long long>(hist.count()));
+}
+
+/// A registry counter as a value-only bench record (0 when absent).
+BenchJsonRecord CounterRecord(const MetricsSnapshot& snap, const char* name) {
+  const auto* counter = snap.FindCounter(name);
+  BenchJsonRecord record{name, 0.0, 0, 1};
+  record.has_value = true;
+  record.value = counter != nullptr ? static_cast<double>(counter->value) : 0.0;
+  return record;
 }
 
 /// --bench: routed-gain latency under `threads` concurrent sessions
@@ -509,15 +527,6 @@ int RunBench(GenerationManager& manager, std::size_t threads, int k,
     std::fprintf(stderr, "no active users, nothing to bench\n");
     return 1;
   }
-
-  const auto print_hist = [](const char* label,
-                             const LatencyHistogram& hist) {
-    std::printf("  %s: p50 %.3f us, p95 %.3f us, p99 %.3f us (%llu "
-                "samples)\n",
-                label, hist.Percentile(50.0) / 1e3,
-                hist.Percentile(95.0) / 1e3, hist.Percentile(99.0) / 1e3,
-                static_cast<unsigned long long>(hist.count()));
-  };
 
   // Routed gains, `threads` sessions each working a stripe of the active
   // users; per-thread digests merged at the end (Merge is
@@ -578,8 +587,8 @@ int RunBench(GenerationManager& manager, std::size_t threads, int k,
               fast_phase.ns_per_query > 0
                   ? exact_phase.ns_per_query / fast_phase.ns_per_query
                   : 0.0);
-  print_hist("routed_gain_exact", exact_phase.hist);
-  print_hist("routed_gain_fast", fast_phase.hist);
+  PrintHistogram("routed_gain_exact", exact_phase.hist);
+  PrintHistogram("routed_gain_fast", fast_phase.hist);
   BenchJsonRecord routed_record = WithPercentiles(
       {"shard_gain_routed", selected.ns_per_query, 0, threads},
       selected.hist);
@@ -613,7 +622,7 @@ int RunBench(GenerationManager& manager, std::size_t threads, int k,
     std::snprintf(label, sizeof(label), "shard%zu_gain_terms", i);
     std::printf("shard %zu [%u,%u): checksum %.3f\n", i, m.range_begin[i],
                 m.range_begin[i + 1], sink);
-    print_hist(label, hist);
+    PrintHistogram(label, hist);
     records.push_back(
         WithPercentiles({label, hist.Percentile(50.0), 0, 1}, hist));
   }
@@ -630,7 +639,7 @@ int RunBench(GenerationManager& manager, std::size_t threads, int k,
   std::printf("topk(%d): %llu gain evaluations, router %s\n", k,
               static_cast<unsigned long long>(selection.gain_evaluations),
               FormatBytes(router.ApproxMemoryBytes()).c_str());
-  print_hist("shard_topk", topk_hist);
+  PrintHistogram("shard_topk", topk_hist);
   records.push_back(WithPercentiles(
       {"shard_topk", topk_hist.Percentile(50.0),
        router.ApproxMemoryBytes(), 1},
@@ -658,16 +667,8 @@ int RunBench(GenerationManager& manager, std::size_t threads, int k,
     // Robustness counters (docs/durability.md): normally zero, nonzero
     // exactly when a bench run crossed an ingest failure or a recovery
     // repaired the directory — the archived trajectory flags it.
-    const auto counter_record = [&snap](const char* name) {
-      const auto* counter = snap.FindCounter(name);
-      BenchJsonRecord record{name, 0.0, 0, 1};
-      record.has_value = true;
-      record.value =
-          counter != nullptr ? static_cast<double>(counter->value) : 0.0;
-      return record;
-    };
-    records.push_back(counter_record("gen.ingest_failures"));
-    records.push_back(counter_record("gen.recovery_events"));
+    records.push_back(CounterRecord(snap, "gen.ingest_failures"));
+    records.push_back(CounterRecord(snap, "gen.recovery_events"));
   }
 
   int rc = 0;
@@ -751,11 +752,73 @@ void HandleTraceCommand(std::istringstream& in,
   }
 }
 
-/// --connect: the serving REPL over RemoteShardRouter — same query
-/// vocabulary as RunServe, answered by shard_server processes. Every
-/// query runs under the trace collector (docs/tracing.md); `trace`
-/// inspects the stitched results. `probe` pings every replica of every
-/// slot; `stats` adds the client-side net.rpc.* counters. With
+/// --connect serving: the RemoteShardRouter answered by shard_server
+/// processes. Every query runs under the trace collector
+/// (docs/tracing.md); `trace` inspects the stitched results, `probe`
+/// pings every replica of every slot, and `stats` adds the client-side
+/// net.rpc.* and trace.* counters.
+class RemoteServe {
+ public:
+  static constexpr const char* kCommands =
+      "topk | gain | commit | spread | reset | refresh | probe | "
+      "trace [ID|json [PATH]] | stats | metrics [prom|spans] | quit";
+
+  RemoteServe(RemoteShardRouter& router, TraceCollector& collector)
+      : router_(router), collector_(collector) {}
+
+  RemoteShardRouter& router() { return router_; }
+  SpanRing& ring() { return ring_; }
+  TraceCollector* collector() { return &collector_; }
+  std::uint64_t generation() const { return router_.generation(); }
+  Result<bool> Refresh() { return router_.Refresh(); }
+
+  bool HandleExtra(const std::string& command, std::istringstream& in) {
+    if (command == "trace") {
+      HandleTraceCommand(in, collector_);
+      return true;
+    }
+    if (command != "probe") return false;
+    for (const ReplicaHealth& h : router_.ProbeReplicas()) {
+      std::printf("slot %zu replica %zu\t%s\tgeneration=%llu sessions=%u "
+                  "metrics_port=%d\n",
+                  h.slot, h.replica, h.healthy ? "healthy" : "DOWN",
+                  static_cast<unsigned long long>(h.generation),
+                  h.sessions_active, h.metrics_port);
+    }
+    return true;
+  }
+
+  void PrintStats() {
+    std::printf(
+        "generation=%llu slots=%zu users=%u actions=%u session_seeds=%zu",
+        static_cast<unsigned long long>(router_.generation()),
+        router_.num_slots(), router_.num_users(), router_.num_actions(),
+        router_.session_seeds().size());
+    PrintCounters(MetricsRegistry::Global().Scrape(),
+                  {{"net_rpc", "net.rpc.count"},
+                   {"net_rpc_errors", "net.rpc.errors"},
+                   {"net_rpc_retries", "net.rpc.retries"},
+                   {"net_failovers", "net.failovers"},
+                   {"net_reconnects", "net.reconnects"},
+                   {"net_commit_replays", "net.commit_replays"},
+                   {"net_server_requests", "net.server.requests"},
+                   {"net_server_errors", "net.server.errors"},
+                   {"net_server_rejected", "net.server.rejected"},
+                   {"net_server_deadline_exceeded",
+                    "net.server.deadline_exceeded"},
+                   {"trace_count", "trace.count"},
+                   {"trace_slow", "trace.slow"},
+                   {"trace_fetches", "trace.fetches"}});
+  }
+
+
+ private:
+  RemoteShardRouter& router_;
+  TraceCollector& collector_;
+  SpanRing ring_{256};
+};
+
+/// --connect: the serving REPL over RemoteShardRouter. With
 /// --fleet_port the process also serves one fleet-merged Prometheus
 /// endpoint federating every replica's /metrics.
 int RunConnect(const std::string& spec, GainKernelMode kernel_mode,
@@ -804,135 +867,8 @@ int RunConnect(const std::string& spec, GainKernelMode kernel_mode,
                  "endpoint(s)\n",
                  fleet->port(), fleet->num_targets());
   }
-  SpanRing ring(256);  // metrics-dump plumbing; traces carry the spans
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    std::istringstream in(line);
-    std::string command;
-    in >> command;
-    if (command.empty() || command[0] == '#') continue;
-    if (command == "quit" || command == "exit") break;
-    if (command == "topk") {
-      NodeId k = 0;
-      in >> k;
-      double budget;
-      if (!(in >> budget)) budget = std::numeric_limits<double>::infinity();
-      if (k == 0) {
-        std::printf("! usage: topk K [BUDGET]\n");
-        std::fflush(stdout);
-        continue;
-      }
-      collector.StartTrace(kSpanQueryTopk, k);
-      auto selection = router.TopKSeeds(k, budget);
-      collector.EndTrace();
-      if (!selection.ok()) {
-        std::printf("! %s\n", selection.status().ToString().c_str());
-      } else {
-        PrintSelection(*selection);
-      }
-    } else if (command == "gain" || command == "commit") {
-      NodeId x = kInvalidNode;
-      if (!(in >> x)) {
-        std::printf("! usage: %s NODE\n", command.c_str());
-        std::fflush(stdout);
-        continue;
-      }
-      if (command == "commit") {
-        collector.StartTrace(kSpanQueryCommit, x);
-        const Status status = router.CommitSeed(x);
-        collector.EndTrace();
-        if (!status.ok()) {
-          std::printf("! %s\n", status.ToString().c_str());
-        } else {
-          std::printf("# %zu session seeds\n", router.session_seeds().size());
-        }
-      } else {
-        collector.StartTrace(kSpanQueryGain, x);
-        auto gain = router.MarginalGain(x);
-        collector.EndTrace();
-        if (!gain.ok()) {
-          std::printf("! %s\n", gain.status().ToString().c_str());
-        } else {
-          std::printf("%.6f\n", *gain);
-        }
-      }
-    } else if (command == "spread") {
-      std::vector<NodeId> seeds;
-      NodeId x;
-      while (in >> x) seeds.push_back(x);
-      collector.StartTrace(kSpanQuerySpread, seeds.size());
-      auto spread = router.SpreadOf(seeds);
-      collector.EndTrace();
-      if (!spread.ok()) {
-        std::printf("! %s\n", spread.status().ToString().c_str());
-      } else {
-        std::printf("%.6f\n", *spread);
-      }
-    } else if (command == "reset") {
-      collector.StartTrace(kSpanQueryReset);
-      router.ResetSession();
-      collector.EndTrace();
-      std::printf("# session reset\n");
-    } else if (command == "refresh") {
-      auto moved = router.Refresh();
-      if (!moved.ok()) {
-        std::printf("! %s\n", moved.status().ToString().c_str());
-      } else {
-        std::printf("# generation %llu%s\n",
-                    static_cast<unsigned long long>(router.generation()),
-                    *moved ? " (swapped)" : " (unchanged)");
-      }
-    } else if (command == "probe") {
-      for (const ReplicaHealth& h : router.ProbeReplicas()) {
-        std::printf("slot %zu replica %zu\t%s\tgeneration=%llu sessions=%u "
-                    "metrics_port=%d\n",
-                    h.slot, h.replica, h.healthy ? "healthy" : "DOWN",
-                    static_cast<unsigned long long>(h.generation),
-                    h.sessions_active, h.metrics_port);
-      }
-    } else if (command == "trace") {
-      HandleTraceCommand(in, collector);
-    } else if (command == "metrics") {
-      HandleMetricsCommand(in, ring, dump);
-    } else if (command == "stats") {
-      const MetricsSnapshot snap = MetricsRegistry::Global().Scrape();
-      const auto counter_of = [&snap](const char* name) {
-        const auto* c = snap.FindCounter(name);
-        return c != nullptr ? c->value : 0;
-      };
-      std::printf(
-          "generation=%llu slots=%zu users=%u actions=%u session_seeds=%zu "
-          "net_rpc=%llu net_rpc_errors=%llu net_rpc_retries=%llu "
-          "net_failovers=%llu net_reconnects=%llu net_commit_replays=%llu "
-          "net_server_requests=%llu net_server_errors=%llu "
-          "net_server_rejected=%llu net_server_deadline_exceeded=%llu "
-          "trace_count=%llu trace_slow=%llu trace_fetches=%llu\n",
-          static_cast<unsigned long long>(router.generation()),
-          router.num_slots(), router.num_users(), router.num_actions(),
-          router.session_seeds().size(),
-          static_cast<unsigned long long>(counter_of("net.rpc.count")),
-          static_cast<unsigned long long>(counter_of("net.rpc.errors")),
-          static_cast<unsigned long long>(counter_of("net.rpc.retries")),
-          static_cast<unsigned long long>(counter_of("net.failovers")),
-          static_cast<unsigned long long>(counter_of("net.reconnects")),
-          static_cast<unsigned long long>(counter_of("net.commit_replays")),
-          static_cast<unsigned long long>(counter_of("net.server.requests")),
-          static_cast<unsigned long long>(counter_of("net.server.errors")),
-          static_cast<unsigned long long>(counter_of("net.server.rejected")),
-          static_cast<unsigned long long>(
-              counter_of("net.server.deadline_exceeded")),
-          static_cast<unsigned long long>(counter_of("trace.count")),
-          static_cast<unsigned long long>(counter_of("trace.slow")),
-          static_cast<unsigned long long>(counter_of("trace.fetches")));
-    } else {
-      std::printf("! unknown command '%s' (topk | gain | commit | spread | "
-                  "reset | refresh | probe | trace [ID|json [PATH]] | stats "
-                  "| metrics [prom] | quit)\n",
-                  command.c_str());
-    }
-    std::fflush(stdout);
-  }
-  int rc = dump.DumpAll();
+  RemoteServe backend(router, collector);
+  int rc = RunQueryLoop(backend, dump);
   if (!trace_json.empty()) {
     if (Status st = collector.WriteTraceJson(trace_json); !st.ok()) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
@@ -1011,14 +947,6 @@ int RunBenchNet(GenerationManager& manager, const std::string& dir, int k,
   constexpr std::size_t kMaxSweep = 4096;
   if (active.size() > kMaxSweep) active.resize(kMaxSweep);
 
-  const auto print_hist = [](const char* label,
-                             const LatencyHistogram& hist) {
-    std::printf("  %s: p50 %.3f us, p95 %.3f us, p99 %.3f us (%llu "
-                "samples)\n",
-                label, hist.Percentile(50.0) / 1e3,
-                hist.Percentile(95.0) / 1e3, hist.Percentile(99.0) / 1e3,
-                static_cast<unsigned long long>(hist.count()));
-  };
   const auto same_bits = [](double a, double b) {
     return std::memcmp(&a, &b, sizeof(double)) == 0;
   };
@@ -1053,8 +981,8 @@ int RunBenchNet(GenerationManager& manager, const std::string& dir, int k,
               "remote %.3f us/query (%.2fx)\n",
               active.size(), local_ns / 1e3, remote_ns / 1e3,
               local_ns > 0 ? remote_ns / local_ns : 0.0);
-  print_hist("net_gain_local", local_hist);
-  print_hist("net_gain_remote", remote_hist);
+  PrintHistogram("net_gain_local", local_hist);
+  PrintHistogram("net_gain_remote", remote_hist);
   if (gain_mismatches != 0) {
     std::fprintf(stderr, "FAIL: %zu of %zu remote gains differ from the "
                  "in-process router\n", gain_mismatches, active.size());
@@ -1104,7 +1032,7 @@ int RunBenchNet(GenerationManager& manager, const std::string& dir, int k,
               k, remote_sel.seeds.size(),
               static_cast<unsigned long long>(remote_sel.gain_evaluations),
               topk_identical ? "bit-identical to" : "DIVERGES from");
-  print_hist("net_topk_remote", topk_hist);
+  PrintHistogram("net_topk_remote", topk_hist);
   if (!topk_identical) {
     std::fprintf(stderr, "FAIL: remote topk diverges from the in-process "
                  "router\n");
@@ -1184,23 +1112,15 @@ int RunBenchNet(GenerationManager& manager, const std::string& dir, int k,
   // catches a config that silently started retrying or failing over.
   {
     const MetricsSnapshot snap = MetricsRegistry::Global().Scrape();
-    const auto counter_record = [&snap](const char* name) {
-      const auto* counter = snap.FindCounter(name);
-      BenchJsonRecord record{name, 0.0, 0, 1};
-      record.has_value = true;
-      record.value =
-          counter != nullptr ? static_cast<double>(counter->value) : 0.0;
-      return record;
-    };
-    records.push_back(counter_record("net.rpc.count"));
-    records.push_back(counter_record("net.rpc.errors"));
-    records.push_back(counter_record("net.failovers"));
-    records.push_back(counter_record("net.reconnects"));
+    records.push_back(CounterRecord(snap, "net.rpc.count"));
+    records.push_back(CounterRecord(snap, "net.rpc.errors"));
+    records.push_back(CounterRecord(snap, "net.failovers"));
+    records.push_back(CounterRecord(snap, "net.reconnects"));
     // trace.* records ride along for the archive; bench_compare.py
     // skips them (no latency semantics to regress).
-    records.push_back(counter_record("trace.count"));
-    records.push_back(counter_record("trace.spans"));
-    records.push_back(counter_record("trace.spans.remote"));
+    records.push_back(CounterRecord(snap, "trace.count"));
+    records.push_back(CounterRecord(snap, "trace.spans"));
+    records.push_back(CounterRecord(snap, "trace.spans.remote"));
   }
 
   int rc = 0;

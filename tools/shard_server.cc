@@ -38,56 +38,6 @@
 namespace influmax {
 namespace {
 
-void HandleFailpointCommand(std::istringstream& in) {
-  std::string verb;
-  in >> verb;
-  if (verb == "list") {
-    const auto names = FailpointCatalog();
-    if (!FailpointsCompiledIn()) {
-      std::printf("! failpoints are compiled out "
-                  "(build with -DINFLUMAX_FAILPOINTS=ON)\n");
-    } else if (names.empty()) {
-      std::printf("# no failpoints armed or evaluated yet\n");
-    }
-    for (const std::string& name : names) {
-      std::printf("%s\ttrips=%llu\n", name.c_str(),
-                  static_cast<unsigned long long>(FailpointTripCount(name)));
-    }
-  } else if (verb == "arm") {
-    std::string name;
-    std::string spec_text;
-    in >> name >> spec_text;
-    if (name.empty() || spec_text.empty()) {
-      std::printf("! usage: failpoint arm NAME SPEC (e.g. torn:40@1#2)\n");
-      return;
-    }
-    auto spec = ParseFailpointSpec(spec_text);
-    if (!spec.ok()) {
-      std::printf("! %s\n", spec.status().ToString().c_str());
-      return;
-    }
-    if (Status status = ArmFailpoint(name, *spec); !status.ok()) {
-      std::printf("! %s\n", status.ToString().c_str());
-      return;
-    }
-    std::printf("# armed %s=%s\n", name.c_str(), spec_text.c_str());
-  } else if (verb == "disarm") {
-    std::string name;
-    in >> name;
-    if (name == "all") {
-      DisarmAllFailpoints();
-      std::printf("# all failpoints disarmed\n");
-    } else if (!name.empty()) {
-      DisarmFailpoint(name);
-      std::printf("# disarmed %s\n", name.c_str());
-    } else {
-      std::printf("! usage: failpoint disarm NAME|all\n");
-    }
-  } else {
-    std::printf("! usage: failpoint list | arm NAME SPEC | disarm NAME|all\n");
-  }
-}
-
 int Main(int argc, char** argv) {
   std::string dir;
   std::string failpoints_spec;
@@ -170,21 +120,15 @@ int Main(int argc, char** argv) {
                     *swapped ? " (swapped)" : " (unchanged)");
       }
     } else if (command == "stats") {
-      const MetricsSnapshot snap = MetricsRegistry::Global().Scrape();
-      const auto counter_of = [&snap](const char* name) {
-        const auto* c = snap.FindCounter(name);
-        return c != nullptr ? c->value : 0;
-      };
-      std::printf(
-          "generation=%llu port=%d metrics_port=%d sessions=%zu "
-          "requests=%llu errors=%llu rejected=%llu deadline_exceeded=%llu\n",
-          static_cast<unsigned long long>(server.current_generation()),
-          server.port(), server.metrics_port(), server.sessions_active(),
-          static_cast<unsigned long long>(counter_of("net.server.requests")),
-          static_cast<unsigned long long>(counter_of("net.server.errors")),
-          static_cast<unsigned long long>(counter_of("net.server.rejected")),
-          static_cast<unsigned long long>(
-              counter_of("net.server.deadline_exceeded")));
+      std::printf("generation=%llu port=%d metrics_port=%d sessions=%zu",
+                  static_cast<unsigned long long>(server.current_generation()),
+                  server.port(), server.metrics_port(),
+                  server.sessions_active());
+      PrintCounters(MetricsRegistry::Global().Scrape(),
+                    {{"requests", "net.server.requests"},
+                     {"errors", "net.server.errors"},
+                     {"rejected", "net.server.rejected"},
+                     {"deadline_exceeded", "net.server.deadline_exceeded"}});
     } else if (command == "metrics") {
       std::string sub;
       in >> sub;
