@@ -248,9 +248,9 @@ void BM_RebuildTopKSeeds(benchmark::State& state) {
 BENCHMARK(BM_RebuildTopKSeeds)->Arg(500)->Arg(2000);
 
 // ------------------------------------------------- gain-kernel benches
-// The quotient-pool claim (docs/gain_kernel.md): folding the snapshot's
-// precomputed fwd_quotient stream beats the divide-and-gather fold the
-// engine used before the pool existed, and the fast_math kernel
+// The quotient-pool claim (docs/gain_kernel.md): folding the quotient
+// pool the engine derives at construction beats the divide-and-gather
+// fold the engine used before the pool existed, and the fast_math kernel
 // vectorizes the per-slot sums on top. BM_GainKernelLegacy replays the
 // old fold verbatim over the raw view arrays (per-entry credit /
 // au[fwd_node[e]] division, skip-if-zero branch); BM_GainKernelExact is

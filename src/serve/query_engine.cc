@@ -66,12 +66,19 @@ inline bool GainTickFires() {
 
 }  // namespace
 
-SnapshotQueryEngine::SnapshotQueryEngine(const CreditSnapshotView& view)
-    : SnapshotQueryEngine(view, view.au(), view.fwd_quotient()) {}
+std::vector<double> DeriveQuotientPool(const CreditSnapshotView& view,
+                                       std::span<const std::uint32_t> au) {
+  const auto credit = view.fwd_credit();
+  const auto node = view.fwd_node();
+  std::vector<double> quot(view.num_entries());
+  for (std::uint64_t e = 0; e < quot.size(); ++e) {
+    quot[e] = credit[e] / au[node[e]];
+  }
+  return quot;
+}
 
-SnapshotQueryEngine::SnapshotQueryEngine(
-    const CreditSnapshotView& view, std::span<const std::uint32_t> au_override)
-    : SnapshotQueryEngine(view, au_override, {}) {}
+SnapshotQueryEngine::SnapshotQueryEngine(const CreditSnapshotView& view)
+    : SnapshotQueryEngine(view, view.au(), {}) {}
 
 SnapshotQueryEngine::SnapshotQueryEngine(
     const CreditSnapshotView& view, std::span<const std::uint32_t> au_override,
@@ -83,23 +90,8 @@ SnapshotQueryEngine::SnapshotQueryEngine(
   INFLUMAX_CHECK(au_.size() >= view.num_users());
   INFLUMAX_CHECK(quot_.empty() || quot_.size() == view.num_entries());
   if (quot_.empty()) {
-    // An au override redefines every divisor, so the snapshot's stored
-    // pool does not apply; reuse it only when the override's divisors
-    // match, otherwise derive an engine-owned pool once (the shard
-    // router shares one via the quotient_override constructor instead).
-    const auto view_au = view.au();
-    if (au_.size() == view_au.size() &&
-        std::equal(au_.begin(), au_.end(), view_au.begin())) {
-      quot_ = view.fwd_quotient();
-    } else {
-      const auto credit = view.fwd_credit();
-      const auto node = view.fwd_node();
-      own_quot_.resize(view.num_entries());
-      for (std::uint64_t e = 0; e < own_quot_.size(); ++e) {
-        own_quot_[e] = credit[e] / au_[node[e]];
-      }
-      quot_ = own_quot_;
-    }
+    own_quot_ = DeriveQuotientPool(view, au_);
+    quot_ = own_quot_;
   }
   ovl_offset_.assign(view.num_actions(), kNotOverlaid);
   sc_cur_.assign(view.slot_sc().begin(), view.slot_sc().end());

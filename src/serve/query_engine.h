@@ -51,10 +51,11 @@ struct SnapshotSeedSelection {
 /// bit (docs/parallelism.md).
 class SnapshotQueryEngine {
  public:
-  /// Workspaces are sized to the view once, here. `view` must outlive
-  /// the engine. Seeds frozen into the snapshot are permanent: they
-  /// survive ResetSession() (their credit updates are already baked into
-  /// the snapshot's UC/SC arrays).
+  /// Workspaces are sized to the view once, here, and the quotient pool
+  /// is derived from the view's au (DeriveQuotientPool). `view` must
+  /// outlive the engine. Seeds frozen into the snapshot are permanent:
+  /// they survive ResetSession() (their credit updates are already baked
+  /// into the snapshot's UC/SC arrays).
   explicit SnapshotQueryEngine(const CreditSnapshotView& view);
 
   /// Shard-serving constructor (docs/sharding.md): `au_override` (length
@@ -63,15 +64,11 @@ class SnapshotQueryEngine {
   /// only the slots of its own actions, so its local au says "actions in
   /// this shard" — but Theorem 3 divides by the user's *global* action
   /// count, which the ShardRouter supplies from the shard manifest.
-  SnapshotQueryEngine(const CreditSnapshotView& view,
-                      std::span<const std::uint32_t> au_override);
-
-  /// Like the au-override constructor, but with the matching quotient
-  /// pool (q[e] = fwd_credit[e] / au_override[fwd_node[e]], length ==
-  /// the view's entry count, outliving the engine) supplied by the
-  /// caller — OpenShardedSnapshot derives one per shard so every router
-  /// session shares it instead of re-deriving O(E) doubles per engine.
-  /// An empty span makes the engine derive (and own) the pool itself.
+  /// `quotient_override` is the matching pool
+  /// (DeriveQuotientPool(view, au_override), outliving the engine):
+  /// OpenShardedSnapshot derives one per shard so every router session
+  /// shares it instead of re-deriving O(E) doubles per engine. An empty
+  /// span makes the engine derive (and own) the pool itself.
   SnapshotQueryEngine(const CreditSnapshotView& view,
                       std::span<const std::uint32_t> au_override,
                       std::span<const double> quotient_override);
@@ -220,8 +217,7 @@ class SnapshotQueryEngine {
   std::span<const std::uint32_t> au_;
 
   // Precomputed q[e] = fwd_credit[e] / au_[fwd_node[e]] ([E], matching
-  // au_): the view's stored pool, a caller-shared override, or own_quot_
-  // when the engine had to derive it (au override without a pool).
+  // au_): a caller-shared pool, or own_quot_ when none was supplied.
   std::span<const double> quot_;
   std::vector<double> own_quot_;
   GainKernelMode kernel_mode_ = GainKernelMode::kExact;
@@ -263,6 +259,12 @@ class SnapshotQueryEngine {
   std::vector<CelfQueueEntry> batch_;
   std::vector<double> gains_;  // initial-pass gather array
 };
+
+/// The gain kernel's division-free pool q[e] = fwd_credit[e] /
+/// au[fwd_node[e]] over `view`'s entries (docs/gain_kernel.md); IEEE
+/// division is correctly rounded, so its bits depend on the inputs only.
+std::vector<double> DeriveQuotientPool(const CreditSnapshotView& view,
+                                       std::span<const std::uint32_t> au);
 
 /// Statistics of one IncrementalRescan run.
 struct RescanStats {

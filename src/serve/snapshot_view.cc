@@ -1,7 +1,6 @@
 #include "serve/snapshot_view.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 
 #include "serve/snapshot_format.h"
@@ -160,7 +159,6 @@ Result<CreditSnapshotView> CreditSnapshotView::Open(const std::string& path) {
   view.bwd_count_ = cursor.ReadSection<std::uint32_t>("bwd_count", S, S);
   view.fwd_node_ = cursor.ReadSection<NodeId>("fwd_node", E, E);
   view.fwd_credit_ = cursor.ReadSection<double>("fwd_credit", E, E);
-  view.fwd_quotient_ = cursor.ReadSection<double>("fwd_quotient", E, E);
   view.bwd_node_ = cursor.ReadSection<NodeId>("bwd_node", E, E);
   view.bwd_entry_ = cursor.ReadSection<std::uint64_t>("bwd_entry", E, E);
   view.action_size_ = cursor.ReadSection<std::uint32_t>("action_size", A, A);
@@ -240,18 +238,6 @@ Result<CreditSnapshotView> CreditSnapshotView::Open(const std::string& path) {
     if (view.fwd_node_[e] >= U || view.bwd_node_[e] >= U) {
       cursor.Fail("entry " + std::to_string(e) +
                   " references a user out of range");
-      return cursor.status();
-    }
-    // The derived quotient pool must bit-equal the on-the-fly division —
-    // IEEE division is correctly rounded, so the writer's bits are the
-    // only valid ones. Compared bitwise (not ==) so a NaN smuggled into
-    // either side is rejected rather than trivially unequal-but-ignored.
-    const double expected =
-        view.fwd_credit_[e] / view.au_[view.fwd_node_[e]];
-    if (std::bit_cast<std::uint64_t>(view.fwd_quotient_[e]) !=
-        std::bit_cast<std::uint64_t>(expected)) {
-      cursor.Fail("entry " + std::to_string(e) +
-                  " quotient disagrees with fwd_credit / au");
       return cursor.status();
     }
   }

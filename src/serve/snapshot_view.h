@@ -65,11 +65,6 @@ class CreditSnapshotView {
   std::span<const std::uint32_t> bwd_count() const { return bwd_count_; }
   std::span<const NodeId> fwd_node() const { return fwd_node_; }
   std::span<const double> fwd_credit() const { return fwd_credit_; }
-  /// Derived division-free gain pool: fwd_quotient()[e] bit-equals
-  /// fwd_credit()[e] / au()[fwd_node()[e]] (validated at Open; IEEE
-  /// division is deterministic). The gain kernel folds this stream
-  /// instead of dividing and gathering per entry (docs/gain_kernel.md).
-  std::span<const double> fwd_quotient() const { return fwd_quotient_; }
   std::span<const NodeId> bwd_node() const { return bwd_node_; }
   std::span<const std::uint64_t> bwd_entry() const { return bwd_entry_; }
   std::span<const std::uint32_t> action_size() const { return action_size_; }
@@ -112,7 +107,6 @@ class CreditSnapshotView {
   std::span<const std::uint32_t> bwd_count_;
   std::span<const NodeId> fwd_node_;
   std::span<const double> fwd_credit_;
-  std::span<const double> fwd_quotient_;
   std::span<const NodeId> bwd_node_;
   std::span<const std::uint64_t> bwd_entry_;
   std::span<const std::uint32_t> action_size_;

@@ -80,9 +80,6 @@ namespace {
 
 constexpr std::uint32_t kNotInTrace = ~0u;
 
-// Quotients per streamed write of the kFwdQuotient section (256 KiB).
-constexpr std::size_t kQuotientChunk = 32768;
-
 // Slot universe of `log`: au, user_offsets, slot_action; SC zeroed and
 // the other per-slot/per-action arrays sized, ready for FreezeActions.
 void InitSnapshotSlots(const ActionLog& log, SnapshotData* data) {
@@ -280,29 +277,6 @@ Status WriteSnapshotFileImpl(const SnapshotData& data,
   WriteSection(&writer, data.bwd_count);
   WriteSection(&writer, data.fwd_node);
   WriteSection(&writer, data.fwd_credit);
-  // kFwdQuotient is derived here rather than carried in SnapshotData, so
-  // every producer — full build, incremental rescan, shard slicer — gets
-  // a pool consistent with its own au section by construction. IEEE
-  // division is correctly rounded, hence deterministic: the view re-checks
-  // these exact bits at open, and the engine's exact fold over them
-  // replays the live model's additions bit for bit (docs/gain_kernel.md).
-  // Note a shard blob's pool divides by its *local* au; engines serving
-  // shards under a global-au override get a derived pool from
-  // OpenShardedSnapshot instead.
-  // The pool is streamed through a fixed-size buffer, never materialized
-  // at E x 8 bytes; the bytes (and any torn-write offset) are those of a
-  // single WriteVector.
-  const std::size_t num_entries = data.fwd_node.size();
-  std::vector<double> quot(std::min(num_entries, kQuotientChunk));
-  writer.WriteU64(num_entries);
-  for (std::size_t begin = 0; begin < num_entries; begin += quot.size()) {
-    const std::size_t n = std::min(quot.size(), num_entries - begin);
-    for (std::size_t i = 0; i < n; ++i) {
-      quot[i] = data.fwd_credit[begin + i] / data.au[data.fwd_node[begin + i]];
-    }
-    writer.WriteArray(std::span<const double>(quot.data(), n));
-  }
-  writer.PadToAlignment(8);
   WriteSection(&writer, data.bwd_node);
   WriteSection(&writer, data.bwd_entry);
   WriteSection(&writer, data.action_size);

@@ -8,6 +8,9 @@
 #include "common/failpoint.h"
 #include "common/flat_hash.h"
 #include "common/memory.h"
+#include "common/parallel.h"
+#include "obs/metrics.h"
+#include "serve/query_engine.h"
 #include "serve/snapshot_format.h"
 
 namespace influmax {
@@ -206,7 +209,50 @@ Result<ShardManifest> ReadShardManifest(const std::string& path) {
   return manifest;
 }
 
-Result<ShardedSnapshot> OpenShardedSnapshot(const std::string& manifest_path) {
+namespace {
+
+// Open telemetry (docs/observability.md), recorded exactly — a cold
+// path, once per generation swap or server start.
+struct OpenMetrics {
+  Timer* latency;        // the whole OpenShardedSnapshot
+  Timer* shard_latency;  // one shard's task
+};
+
+const OpenMetrics& GetOpenMetrics() {
+  static const OpenMetrics metrics{
+      MetricsRegistry::Global().FindOrCreateTimer("shard.open.latency"),
+      MetricsRegistry::Global().FindOrCreateTimer("shard.open.shard_latency"),
+  };
+  return metrics;
+}
+
+// The per-shard half of the open: fingerprint check, view Open (full
+// structural validation) and the global-au quotient pool. Independent
+// across shards, so OpenShardedSnapshot runs one of these per shard in
+// parallel.
+Status OpenOneShard(const std::string& path, std::uint64_t fingerprint,
+                    std::span<const std::uint32_t> global_au,
+                    CreditSnapshotView* view, std::vector<double>* quot) {
+  auto actual = FingerprintShardFile(path);
+  INFLUMAX_RETURN_IF_ERROR(actual.status());
+  if (*actual != fingerprint) {
+    return Status::Corruption("shard file '" + path +
+                              "' does not match the manifest fingerprint "
+                              "(rebuilt, swapped, or truncated)");
+  }
+  auto opened = CreditSnapshotView::Open(path);
+  INFLUMAX_RETURN_IF_ERROR(opened.status());
+  *view = std::move(opened).value();
+  // A user-count mismatch is reported by the serial checks; deriving
+  // here would index global_au out of range.
+  if (view->num_users() == global_au.size()) {
+    *quot = DeriveQuotientPool(*view, global_au);
+  }
+  return Status::OK();
+}
+
+Result<ShardedSnapshot> OpenShardedSnapshotImpl(
+    const std::string& manifest_path) {
   auto manifest = ReadShardManifest(manifest_path);
   INFLUMAX_RETURN_IF_ERROR(manifest.status());
 
@@ -214,42 +260,53 @@ Result<ShardedSnapshot> OpenShardedSnapshot(const std::string& manifest_path) {
   sharded.dir = DirOf(manifest_path);
   sharded.manifest = std::move(manifest).value();
   const ShardManifest& m = sharded.manifest;
-  sharded.views.reserve(m.num_shards());
-  for (std::size_t i = 0; i < m.num_shards(); ++i) {
-    const std::string path = sharded.dir + "/" + m.shard_files[i];
-    auto fingerprint = FingerprintShardFile(path);
-    INFLUMAX_RETURN_IF_ERROR(fingerprint.status());
-    if (*fingerprint != m.shard_fingerprints[i]) {
-      return Status::Corruption("shard file '" + path +
-                                "' does not match the manifest fingerprint "
-                                "(rebuilt, swapped, or truncated)");
-    }
-    auto view = CreditSnapshotView::Open(path);
-    INFLUMAX_RETURN_IF_ERROR(view.status());
+  const std::size_t n = m.num_shards();
+  sharded.views.resize(n);
+  sharded.global_quotients.resize(n);
+  std::vector<Status> status(n);
+  ParallelForDynamic(
+      n, std::min(EffectiveThreadCount(0), n),
+      [&](std::size_t, std::size_t i) {
+        std::uint64_t t0 = 0;
+        if constexpr (kObsEnabled) t0 = MonotonicNowNs();
+        status[i] = OpenOneShard(sharded.dir + "/" + m.shard_files[i],
+                                 m.shard_fingerprints[i], m.au,
+                                 &sharded.views[i],
+                                 &sharded.global_quotients[i]);
+        if constexpr (kObsEnabled) {
+          GetOpenMetrics().shard_latency->Record(MonotonicNowNs() - t0);
+        }
+      });
+
+  // Cross-checks against the manifest, serially in shard order, so the
+  // lowest failing shard's Status comes back whatever the task order.
+  for (std::size_t i = 0; i < n; ++i) {
+    INFLUMAX_RETURN_IF_ERROR(status[i]);
+    const CreditSnapshotView& view = sharded.views[i];
     const ActionId range = m.range_begin[i + 1] - m.range_begin[i];
-    if (view->num_users() != m.num_users) {
+    if (view.num_users() != m.num_users) {
       return Status::Corruption("shard " + std::to_string(i) + " has " +
-                                std::to_string(view->num_users()) +
+                                std::to_string(view.num_users()) +
                                 " users, manifest says " +
                                 std::to_string(m.num_users));
     }
-    if (view->num_actions() != range) {
+    if (view.num_actions() != range) {
       return Status::Corruption("shard " + std::to_string(i) + " holds " +
-                                std::to_string(view->num_actions()) +
+                                std::to_string(view.num_actions()) +
                                 " actions, manifest range is " +
                                 std::to_string(range));
     }
-    if (view->truncation_threshold() != m.truncation_threshold) {
+    if (view.truncation_threshold() != m.truncation_threshold) {
       return Status::Corruption("shard " + std::to_string(i) +
                                 " lambda differs from the manifest");
     }
-    if (view->graph_fingerprint() != m.graph_fingerprint) {
+    if (view.graph_fingerprint() != m.graph_fingerprint) {
       return Status::Corruption("shard " + std::to_string(i) +
                                 " was scanned against a different graph");
     }
     if (i > 0) {
       const auto first = sharded.views[0].seeds();
-      const auto mine = view->seeds();
+      const auto mine = view.seeds();
       if (first.size() != mine.size() ||
           !std::equal(first.begin(), first.end(), mine.begin())) {
         return Status::Corruption(
@@ -257,29 +314,31 @@ Result<ShardedSnapshot> OpenShardedSnapshot(const std::string& manifest_path) {
             " disagrees with shard 0 about the frozen seed set");
       }
     }
-    sharded.views.push_back(std::move(view).value());
   }
-  // Derive each shard's global-au quotient pool once per open. A blob's
-  // stored pool divides by its local au (the blob must self-validate),
-  // which equals the global divisors only when the shard spans every
-  // action — then the stored pool is reused (empty marker, see
-  // shard_quotient()). One O(E) pass per generation, amortized across
-  // all sessions and their engines.
-  sharded.global_quotients.resize(m.num_shards());
-  for (std::size_t i = 0; i < m.num_shards(); ++i) {
-    const CreditSnapshotView& view = sharded.views[i];
-    const auto local_au = view.au();
-    if (std::equal(local_au.begin(), local_au.end(), m.au.begin(),
-                   m.au.end())) {
-      continue;
+  // Shards partition the actions, so each user's local action counts
+  // sum to the global A_u exactly. A manifest au that disagrees would
+  // divide every gain by the wrong count (or by zero) without a word.
+  for (NodeId u = 0; u < m.num_users; ++u) {
+    std::uint64_t sum = 0;
+    for (const CreditSnapshotView& view : sharded.views) sum += view.au()[u];
+    if (sum != m.au[u]) {
+      return Status::Corruption(
+          "manifest au of user " + std::to_string(u) + " is " +
+          std::to_string(m.au[u]) + ", its shards hold " +
+          std::to_string(sum) + " actions");
     }
-    const auto credit = view.fwd_credit();
-    const auto node = view.fwd_node();
-    std::vector<double>& quot = sharded.global_quotients[i];
-    quot.resize(view.num_entries());
-    for (std::uint64_t e = 0; e < quot.size(); ++e) {
-      quot[e] = credit[e] / m.au[node[e]];
-    }
+  }
+  return sharded;
+}
+
+}  // namespace
+
+Result<ShardedSnapshot> OpenShardedSnapshot(const std::string& manifest_path) {
+  std::uint64_t t0 = 0;
+  if constexpr (kObsEnabled) t0 = MonotonicNowNs();
+  auto sharded = OpenShardedSnapshotImpl(manifest_path);
+  if constexpr (kObsEnabled) {
+    GetOpenMetrics().latency->Record(MonotonicNowNs() - t0);
   }
   return sharded;
 }

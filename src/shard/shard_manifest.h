@@ -96,26 +96,23 @@ struct ShardedSnapshot {
   std::vector<CreditSnapshotView> views;  // [N], manifest order
 
   /// Per-shard quotient pools divided by the manifest's *global* au —
-  /// the divisors Theorem 3 actually uses. A shard blob's stored
-  /// kFwdQuotient section divides by its local au, so it only serves a
-  /// router when the shard covers every action; otherwise the pool here
-  /// (derived once per open, shared by every session's engines) stands
-  /// in. Empty inner vector == "the blob's stored pool is already
-  /// global"; shard_quotient() resolves the choice.
+  /// the divisors Theorem 3 actually uses (a blob's own au counts only
+  /// its shard's actions). Derived once per open, one pool per shard,
+  /// shared by every session's engines.
   std::vector<std::vector<double>> global_quotients;  // [N]
 
   /// Shard i's quotient pool under the manifest's global au.
   std::span<const double> shard_quotient(std::size_t i) const {
-    return global_quotients[i].empty()
-               ? views[i].fwd_quotient()
-               : std::span<const double>(global_quotients[i]);
+    return global_quotients[i];
   }
 };
 
 /// Opens `manifest_path` and every shard blob it names (relative to the
 /// manifest's directory), cross-checking each blob against the manifest:
 /// file fingerprint, user universe, action count == range width, lambda,
-/// graph fingerprint, and frozen-seed agreement across shards.
+/// graph fingerprint, frozen seeds, and per-user au summing to the global
+/// au. Shards open in parallel, the checks then run in shard order: a
+/// failure is the lowest failing shard's Status (docs/parallelism.md).
 Result<ShardedSnapshot> OpenShardedSnapshot(const std::string& manifest_path);
 
 /// CURRENT pointer of a generation directory: a one-line file naming the

@@ -69,10 +69,9 @@ ShardRouter::ShardRouter(const ShardedSnapshot& shards, WorkerPool* pool)
   INFLUMAX_CHECK(!shards.views.empty());
   engines_.reserve(shards.views.size());
   for (std::size_t i = 0; i < shards.views.size(); ++i) {
-    // Each engine divides by the global A_u, so it also needs the
-    // global-au quotient pool OpenShardedSnapshot derived (the blob's
-    // stored pool divides by local au) — shared, not re-derived per
-    // session.
+    // Each engine divides by the global A_u, so it folds the global-au
+    // quotient pool OpenShardedSnapshot derived — shared, not re-derived
+    // per session.
     engines_.emplace_back(shards.views[i], au_, shards.shard_quotient(i));
   }
   term_buf_.resize(shards.views.size());

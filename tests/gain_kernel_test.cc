@@ -1,9 +1,10 @@
 // Gain kernel (src/serve/gain_kernel.h, docs/gain_kernel.md): the
-// quotient-pool exactness contract — fwd_quotient[e] bit-equals
-// fwd_credit[e] / au[fwd_node[e]] in every snapshot producer (full
-// build, IncrementalRescan, SliceShardData) — and the fast_math kernel's
-// bounded-error contract against the exact fold, on both dispatch
-// backends and through the sharded router's global-au pools.
+// quotient-pool exactness contract — the pool an engine or sharded open
+// derives bit-equals fwd_credit[e] / au[fwd_node[e]] over the output of
+// every snapshot producer (full build, IncrementalRescan, SliceShardData)
+// — and the fast_math kernel's bounded-error contract against the exact
+// fold, on both dispatch backends and through the sharded router's
+// global-au pools.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <numeric>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -80,21 +82,26 @@ ActionLog PrefixLog(const ActionLog& full, double keep_fraction) {
   return std::move(log).value();
 }
 
-/// Asserts the tentpole invariant on an open view: every stored quotient
-/// bit-equals the on-the-fly division it replaces (IEEE double division
-/// is correctly rounded, so this is deterministic across machines).
-void ExpectQuotientPoolBitExact(const CreditSnapshotView& view) {
+/// Asserts the pool invariant: every derived quotient bit-equals the
+/// on-the-fly division it replaces under `au` (IEEE double division is
+/// correctly rounded, so this is deterministic across machines).
+void ExpectPoolBitExact(const CreditSnapshotView& view,
+                        std::span<const double> pool,
+                        std::span<const std::uint32_t> au) {
   const auto credit = view.fwd_credit();
   const auto node = view.fwd_node();
-  const auto au = view.au();
-  const auto quot = view.fwd_quotient();
-  ASSERT_EQ(quot.size(), view.num_entries());
+  ASSERT_EQ(pool.size(), view.num_entries());
   for (std::uint64_t e = 0; e < view.num_entries(); ++e) {
     const double expected = credit[e] / au[node[e]];
-    ASSERT_EQ(std::bit_cast<std::uint64_t>(quot[e]),
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(pool[e]),
               std::bit_cast<std::uint64_t>(expected))
         << "entry " << e;
   }
+}
+
+/// The pool an engine over `view` derives from the view's own au.
+void ExpectViewPoolBitExact(const CreditSnapshotView& view) {
+  ExpectPoolBitExact(view, DeriveQuotientPool(view, view.au()), view.au());
 }
 
 /// |fast - exact| within the documented relative bound. Gain terms are
@@ -176,25 +183,25 @@ TEST(GainKernelTest, FastSumMatchesExactFoldAcrossLengthsAndBackends) {
 
 // --------------------------------------------- producer bit-exactness
 
-TEST(GainKernelTest, SnapshotRoundTripStoresBitExactQuotients) {
+TEST(GainKernelTest, SnapshotRoundTripDerivesBitExactQuotients) {
   auto ex = testing_fixtures::MakePaperExample();
   EqualDirectCredit credit;
   const auto model = BuildModel(ex.graph, ex.log, credit);
   const std::string path = TempPath("quot_paper.snap");
   auto view = WriteAndOpen(model, path);
   EXPECT_GT(view.num_entries(), 0u);
-  ExpectQuotientPoolBitExact(view);
+  ExpectViewPoolBitExact(view);
   std::remove(path.c_str());
 }
 
-TEST(GainKernelTest, RandomizedSnapshotStoresBitExactQuotients) {
+TEST(GainKernelTest, RandomizedSnapshotDerivesBitExactQuotients) {
   auto data = MakeDataset();
   EqualDirectCredit credit;
   const auto model = BuildModel(data.graph, data.log, credit, 0.001);
   const std::string path = TempPath("quot_random.snap");
   auto view = WriteAndOpen(model, path);
   EXPECT_GT(view.num_entries(), 0u);
-  ExpectQuotientPoolBitExact(view);
+  ExpectViewPoolBitExact(view);
   std::remove(path.c_str());
 }
 
@@ -216,7 +223,7 @@ TEST(GainKernelTest, IncrementalRescanRegeneratesQuotients) {
                   .ok());
   auto delta = CreditSnapshotView::Open(delta_path);
   ASSERT_TRUE(delta.ok());
-  ExpectQuotientPoolBitExact(*delta);
+  ExpectViewPoolBitExact(*delta);
   std::remove(old_path.c_str());
   std::remove(delta_path.c_str());
 }
@@ -239,9 +246,11 @@ TEST(GainKernelTest, SliceShardDataRegeneratesQuotients) {
     ASSERT_TRUE(WriteSnapshotFile(slice, slice_path).ok());
     auto shard = CreditSnapshotView::Open(slice_path);
     ASSERT_TRUE(shard.ok());
-    // The shard's pool divides by its *local* au — the self-consistency
-    // Open validates; global-au pools are the router's job.
-    ExpectQuotientPoolBitExact(*shard);
+    // A standalone engine divides by the slice's *local* au; an engine
+    // under the global au (the router's construction) by the mono au.
+    ExpectViewPoolBitExact(*shard);
+    ExpectPoolBitExact(*shard, DeriveQuotientPool(*shard, mono->au()),
+                       mono->au());
   }
   std::filesystem::remove_all(dir);
 }
@@ -335,17 +344,18 @@ TEST(GainKernelTest, RouterGlobalPoolsKeepExactBitIdentity) {
   auto mono = CreditSnapshotView::Open(mono_path);
   ASSERT_TRUE(mono.ok());
   SnapshotQueryEngine engine(*mono);
-  for (const std::size_t shards : {std::size_t{2}, std::size_t{3}}) {
+  for (const std::size_t shards :
+       {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
     ShardedSnapshotWriter writer(dir, shards);
     ASSERT_TRUE(writer.WriteFromView(*mono, shards).ok());
     auto sharded = OpenShardedSnapshot(dir + "/" + ManifestFileName(shards));
     ASSERT_TRUE(sharded.ok());
-    // Multi-shard blobs store local-au pools, so the open derives
-    // global-au replacements for every shard.
+    // The open derives one global-au pool per shard, a single shard
+    // (whose local au is the global au) included.
     for (std::size_t i = 0; i < sharded->views.size(); ++i) {
-      ASSERT_FALSE(sharded->global_quotients[i].empty()) << "shard " << i;
-      EXPECT_EQ(sharded->shard_quotient(i).size(),
-                sharded->views[i].num_entries());
+      SCOPED_TRACE("shard " + std::to_string(i));
+      ExpectPoolBitExact(sharded->views[i], sharded->shard_quotient(i),
+                         sharded->manifest.au);
     }
     ShardRouter router(*sharded);
     for (NodeId x = 0; x < mono->num_users(); ++x) {

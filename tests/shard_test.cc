@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -322,6 +323,132 @@ TEST(ShardManifestTest, RejectsTruncatedAndMangledManifests) {
   ShardManifest bad = *manifest;
   std::swap(bad.range_begin[1], bad.range_begin[2]);  // unsorted
   EXPECT_FALSE(WriteShardManifest(bad, dir + "/bad").ok());
+  std::filesystem::remove_all(dir);
+}
+
+void WriteFileBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+TEST(ShardManifestTest, RejectsManifestAuThatDisagreesWithShards) {
+  auto data = MakeDataset(0.05);
+  EqualDirectCredit credit;
+  const auto model = BuildModel(data.graph, data.log, credit, 0.001);
+  const std::string dir = MakeTempDir("manifest_au");
+  SplitAndOpen(model, dir, 3);
+  const std::string manifest_path = dir + "/" + ManifestFileName(1);
+  auto manifest = ReadShardManifest(manifest_path);
+  ASSERT_TRUE(manifest.ok());
+  const auto active = std::find_if(manifest->au.begin(), manifest->au.end(),
+                                   [](std::uint32_t au) { return au > 0; });
+  ASSERT_NE(active, manifest->au.end());
+  const auto user = static_cast<NodeId>(active - manifest->au.begin());
+  // One count too many would shrink every gain term of the user; zero
+  // would make them infinite. Both must be refused, naming the user.
+  for (const std::uint32_t bogus : {*active + 1, std::uint32_t{0}}) {
+    ShardManifest edited = *manifest;
+    edited.au[user] = bogus;
+    ASSERT_TRUE(WriteShardManifest(edited, manifest_path).ok());
+    auto opened = OpenShardedSnapshot(manifest_path);
+    ASSERT_FALSE(opened.ok()) << "au " << bogus;
+    EXPECT_EQ(opened.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(opened.status().message().find("user " +
+                                             std::to_string(user)),
+              std::string::npos)
+        << opened.status().ToString();
+  }
+  ASSERT_TRUE(WriteShardManifest(*manifest, manifest_path).ok());
+  EXPECT_TRUE(OpenShardedSnapshot(manifest_path).ok());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ShardManifestTest, ParallelOpenReportsLowestFailingShard) {
+  auto data = MakeDataset(0.05);
+  EqualDirectCredit credit;
+  const auto model = BuildModel(data.graph, data.log, credit, 0.001);
+  const std::string dir = MakeTempDir("open_lowest_failure");
+  SplitAndOpen(model, dir, 4);
+  const std::string manifest_path = dir + "/" + ManifestFileName(1);
+  // Shard 1: a prelude byte flips (graph fingerprint), so the file
+  // fingerprint no longer matches. Shard 3: truncated.
+  const std::string shard1 = dir + "/" + ShardFileName(1, 1);
+  std::string bytes = ReadFileBytes(shard1);
+  bytes[16] ^= 0x5A;
+  WriteFileBytes(shard1, bytes);
+  const std::string shard3 = dir + "/" + ShardFileName(1, 3);
+  bytes = ReadFileBytes(shard3);
+  WriteFileBytes(shard3, bytes.substr(0, bytes.size() - 16));
+
+  auto first = OpenShardedSnapshot(manifest_path);
+  ASSERT_FALSE(first.ok());
+  EXPECT_EQ(first.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(first.status().message().find(ShardFileName(1, 1)),
+            std::string::npos)
+      << first.status().ToString();
+  for (int run = 0; run < 20; ++run) {
+    auto again = OpenShardedSnapshot(manifest_path);
+    ASSERT_FALSE(again.ok());
+    EXPECT_EQ(again.status().ToString(), first.status().ToString())
+        << "open " << run;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ShardManifestTest, OneShardServesMonoGainsAndRejectsVersionTwo) {
+  auto data = MakeDataset(0.05);
+  EqualDirectCredit credit;
+  const auto model = BuildModel(data.graph, data.log, credit, 0.001);
+  const std::string dir = MakeTempDir("one_shard_v3");
+  const std::string mono_path = dir + "/mono.snap";
+  ASSERT_TRUE(model.WriteSnapshot(mono_path).ok());
+  auto mono = CreditSnapshotView::Open(mono_path);
+  ASSERT_TRUE(mono.ok());
+  SnapshotQueryEngine engine(*mono);
+  const std::string gen_dir = dir + "/gen";
+  std::filesystem::create_directories(gen_dir);
+  {
+    // A 1-shard generation folds a pool derived at open, like any other.
+    const ShardedSnapshot sharded = SplitAndOpen(model, gen_dir, 1);
+    ShardRouter router(sharded);
+    for (NodeId x = 0; x < mono->num_users(); ++x) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(router.MarginalGain(x)),
+                std::bit_cast<std::uint64_t>(engine.MarginalGain(x)))
+          << "node " << x;
+    }
+  }
+
+  // A version field patched to 2 (the layout with a stored quotient
+  // section) is refused by the view, and by the sharded open even with a
+  // manifest fingerprint that matches the patched blob.
+  const std::uint32_t v2 = 2;
+  std::string bytes = ReadFileBytes(mono_path);
+  bytes.replace(8, sizeof(v2), reinterpret_cast<const char*>(&v2),
+                sizeof(v2));
+  WriteFileBytes(mono_path, bytes);
+  auto old_view = CreditSnapshotView::Open(mono_path);
+  ASSERT_FALSE(old_view.ok());
+  EXPECT_NE(old_view.status().message().find("unsupported version 2"),
+            std::string::npos)
+      << old_view.status().ToString();
+
+  const std::string shard_path = gen_dir + "/" + ShardFileName(1, 0);
+  bytes = ReadFileBytes(shard_path);
+  bytes.replace(8, sizeof(v2), reinterpret_cast<const char*>(&v2),
+                sizeof(v2));
+  WriteFileBytes(shard_path, bytes);
+  const std::string manifest_path = gen_dir + "/" + ManifestFileName(1);
+  auto manifest = ReadShardManifest(manifest_path);
+  ASSERT_TRUE(manifest.ok());
+  auto fingerprint = FingerprintShardFile(shard_path);
+  ASSERT_TRUE(fingerprint.ok());
+  manifest->shard_fingerprints[0] = *fingerprint;
+  ASSERT_TRUE(WriteShardManifest(*manifest, manifest_path).ok());
+  auto old_generation = OpenShardedSnapshot(manifest_path);
+  ASSERT_FALSE(old_generation.ok());
+  EXPECT_NE(
+      old_generation.status().message().find("unsupported version 2"),
+      std::string::npos)
+      << old_generation.status().ToString();
   std::filesystem::remove_all(dir);
 }
 
