@@ -73,6 +73,13 @@ class SmallVector {
 
   void clear() { size_ = 0; }
 
+  /// Ensures room for `n` elements, allocating exactly `n` when the
+  /// buffer must grow (bulk loads know each list's final length, so no
+  /// doubling slack is paid).
+  void reserve(std::uint32_t n) {
+    if (n > capacity_) Reallocate(n);
+  }
+
   /// Removes every element for which `pred(element)` is true, preserving
   /// the relative order of survivors. In-place: never reallocates, so
   /// pointers into data() stay valid (elements shift down).
@@ -95,8 +102,9 @@ class SmallVector {
  private:
   bool is_inline() const { return capacity_ <= InlineCapacity; }
 
-  void Grow() {
-    const std::uint32_t new_capacity = capacity_ * 2;
+  void Grow() { Reallocate(capacity_ * 2); }
+
+  void Reallocate(std::uint32_t new_capacity) {
     T* buffer = static_cast<T*>(std::malloc(new_capacity * sizeof(T)));
     if (buffer == nullptr) throw std::bad_alloc();
     std::memcpy(buffer, data(), size_ * sizeof(T));

@@ -36,13 +36,6 @@ struct CdConfig {
   /// are bit-identical for any value.
   std::size_t select_threads = 0;
 
-  /// Actions whose trace reaches this many tuples are scanned with the
-  /// intra-action sharded path (ScanDagRangeSharded) instead of pinning
-  /// one scan worker. 0 disables intra-action sharding; with
-  /// scan_threads == 1 the serial path is taken silently regardless
-  /// (there is no pool to shard across).
-  NodeId scan_shard_min_positions = 4096;
-
   /// Optional cross-Build arena pool (multi-dataset batching): when set,
   /// Build() draws its per-worker scan arenas from the pool and returns
   /// them after the scan, so back-to-back Build() calls over datasets
@@ -162,39 +155,20 @@ class CreditDistributionModel {
   std::vector<ScanArena> commit_arenas_;
 };
 
-/// Algorithm 2's inner loop over one action DAG: accumulates credits for
-/// activations at positions [begin_pos, dag.size()) into `table` under
-/// truncation threshold `lambda`. `creditor_scratch` is caller-owned
-/// scratch (creditor lists are snapshotted into it so no span into the
-/// table outlives a mutation). Build() runs it from position 0; the
-/// serving layer's IncrementalRescan replays only appended positions.
+/// Algorithm 2 over one action DAG: builds the creditor row of every
+/// activation at positions [begin_pos, dag.size()) with the row kernel
+/// (cd_model.cc) in `arena` — a dense, position-keyed accumulator summing
+/// each credit in the serial scan's contribution order, parent rows read
+/// straight from the arena — then bulk-loads them into `table` with
+/// ActionCreditTable::LoadColumns under truncation threshold `lambda`.
+/// The table ends up exactly as the per-contribution AddCredit scan left
+/// it. Build() runs it from position 0; the serving layer's
+/// IncrementalRescan resumes at the first appended position over a table
+/// holding the earlier positions' credits (their rows are read from it).
 void ScanDagRange(const PropagationDag& dag,
                   const DirectCreditModel& credit_model, double lambda,
                   NodeId begin_pos, ActionCreditTable* table,
-                  std::vector<CreditEntry>* creditor_scratch);
-
-/// Intra-action sharded variant of ScanDagRange for one huge action:
-/// phase A splits [begin_pos, dag.size()) into DAG-node ranges and
-/// precomputes every surviving direct credit (parent position, gamma)
-/// into per-shard arenas in parallel (Gamma is a pure function of the
-/// tuple, the hot cost under Eq. 9's exponentials); phase B merges on a
-/// level-synchronous (wavefront) schedule: rows within one DAG level
-/// depend only on finalized rows of strictly earlier levels, so each
-/// worker builds its positions' creditor rows into per-row sub-tables
-/// (RowArena-backed), and a deterministic stitch then inserts them into
-/// the flat table in position order — replicating the serial scan's
-/// AddCredit first-touch sequence exactly, so entry values *and*
-/// adjacency order are bit-identical for any thread count (and snapshots
-/// stay byte-identical). DAGs too narrow to pay for level barriers
-/// (average level width < 2) fall back to the serial position-ordered
-/// merge over the precomputed gammas. `arenas` is per-worker scratch
-/// (one per worker; fewer arenas clamp the worker count); see
-/// docs/parallelism.md.
-void ScanDagRangeSharded(const PropagationDag& dag,
-                         const DirectCreditModel& credit_model, double lambda,
-                         NodeId begin_pos, std::size_t num_threads,
-                         ActionCreditTable* table,
-                         std::span<ScanArena> arenas);
+                  ScanArena* arena);
 
 }  // namespace influmax
 

@@ -6,7 +6,9 @@
 namespace influmax {
 
 void RowArena::AddChunk(std::size_t entries) {
-  chunks_.emplace_back(std::make_unique<CreditEntry[]>(entries), entries);
+  // Uninitialized: pages become resident only as rows are written.
+  chunks_.emplace_back(std::make_unique_for_overwrite<CreditEntry[]>(entries),
+                       entries);
   row_begin_ = cursor_ = chunks_.back().first.get();
   chunk_end_ = cursor_ + entries;
 }
@@ -49,6 +51,62 @@ void ActionCreditTable::AddCredit(NodeId v, NodeId u, double delta) {
     backward_.Append(u, v);
   } else {
     *credit += delta;
+  }
+}
+
+void ActionCreditTable::LoadColumns(
+    std::span<const NodeId> users, NodeId begin,
+    std::span<const std::span<const CreditEntry>> columns,
+    ScanArena* scratch) {
+  // Per creditor position: ids its forward list gains here (pass 1),
+  // then its forward-list pool slot once resolved (pass 2).
+  constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  std::vector<std::uint32_t>& fwd_count = scratch->load_count;
+  std::vector<std::uint32_t>& fwd_slot = scratch->load_slot;
+  fwd_count.assign(users.size(), 0);
+  fwd_slot.assign(users.size(), kNoSlot);
+  std::size_t total = 0;
+  std::size_t nonempty = 0;
+  for (const auto& column : columns) {
+    total += column.size();
+    nonempty += !column.empty();
+    for (const CreditEntry& entry : column) ++fwd_count[entry.node];
+  }
+  if (total == 0) return;
+  // New forward lists: creditors before `begin` may own one already.
+  std::size_t owners = 0;
+  for (std::size_t p = 0; p < users.size(); ++p) {
+    owners += fwd_count[p] != 0 &&
+              (p >= begin || forward_.Find(users[p]) == nullptr);
+  }
+  credit_.Reserve(credit_.size() + total);
+  forward_.index.Reserve(forward_.index.size() + owners);
+  forward_.pool.reserve(forward_.pool.size() + owners);
+  backward_.index.Reserve(backward_.index.size() + nonempty);
+  backward_.pool.reserve(backward_.pool.size() + nonempty);
+
+  // Pass 2 issues AddCredit's sequence — credit insert, forward append,
+  // backward append, entry by entry — minus the probes: each list's slot
+  // is resolved once and sized to its final length there.
+  for (std::size_t i = 0; i < columns.size(); ++i) {
+    const auto column = columns[i];
+    if (column.empty()) continue;
+    const NodeId u = users[begin + i];
+    const std::uint32_t bwd_slot = backward_.SlotOf(u);  // a new list
+    backward_.pool[bwd_slot].reserve(
+        static_cast<std::uint32_t>(column.size()));
+    for (const CreditEntry& entry : column) {
+      const NodeId w = users[entry.node];
+      *credit_.TryEmplace(Key(w, u)).first = entry.credit;
+      std::uint32_t& slot = fwd_slot[entry.node];
+      if (slot == kNoSlot) {
+        slot = forward_.SlotOf(w);
+        AdjList& list = forward_.pool[slot];
+        list.reserve(list.size() + fwd_count[entry.node]);
+      }
+      forward_.AppendAt(w, slot, u);
+      backward_.AppendAt(u, bwd_slot, w);
+    }
   }
 }
 

@@ -22,6 +22,8 @@ struct CreditEntry {
   double credit;
 };
 
+struct ScanArena;
+
 /// Sparse per-action credit matrix: UC[v][u][a] of Algorithms 2-5, for one
 /// action a. Keys are user ids. Besides the (v, u) -> credit map, forward
 /// (v -> credited users) and backward (u -> creditors) adjacency lists are
@@ -58,6 +60,22 @@ class ActionCreditTable {
   /// Adds `delta` (> 0) to the (v, u) credit, creating the entry and
   /// adjacency on first touch. Scan-time only.
   void AddCredit(NodeId v, NodeId u, double delta);
+
+  /// Bulk-loads scanned creditor columns — Algorithm 2's row kernel
+  /// (cd_model.cc) hands every action's rows over here in one call.
+  /// `users[p]` is the user at trace position p; `columns[i]` is the
+  /// creditor column of users[begin + i]: (creditor position, credit)
+  /// entries, each creditor at most once, in first-touch order. The
+  /// table must hold no (., users[begin + i]) entry yet (a scan only
+  /// appends later positions). The result equals calling
+  /// AddCredit(users[e.node], users[begin + i], e.credit) for every entry,
+  /// column by column — the same credits, adjacency order, big-list
+  /// registrations and entry count — but the credit map is reserved once
+  /// and every list is allocated at its exact final length. `scratch`
+  /// lends the per-position counters (ScanArena::load_count/load_slot).
+  void LoadColumns(std::span<const NodeId> users, NodeId begin,
+                   std::span<const std::span<const CreditEntry>> columns,
+                   ScanArena* scratch);
 
   /// Subtracts `delta` from an existing (v, u) credit; erases the entry
   /// when it falls below kZeroEpsilon (credits are sums of path products,
@@ -119,15 +137,22 @@ class ActionCreditTable {
       const std::uint32_t* slot = index.Find(id);
       return slot == nullptr ? nullptr : &pool[*slot];
     }
-    void Append(NodeId owner, NodeId other) {
+    // Pool slot of owner's list, created (empty) on first touch.
+    std::uint32_t SlotOf(NodeId owner) {
       auto [slot, inserted] = index.TryEmplace(owner);
       if (inserted) {
         *slot = static_cast<std::uint32_t>(pool.size());
         pool.emplace_back();
       }
-      AdjList& list = pool[*slot];
+      return *slot;
+    }
+    void AppendAt(NodeId owner, std::uint32_t slot, NodeId other) {
+      AdjList& list = pool[slot];
       list.push_back(other);
-      if (list.size() == kCompactMinListSize) big.emplace_back(owner, *slot);
+      if (list.size() == kCompactMinListSize) big.emplace_back(owner, slot);
+    }
+    void Append(NodeId owner, NodeId other) {
+      AppendAt(owner, SlotOf(owner), other);
     }
     std::uint64_t ApproxMemoryBytes() const {
       std::uint64_t bytes =
@@ -173,10 +198,8 @@ class ActionCreditTable {
 
 /// Append-only arena of CreditEntry rows with *stable addresses*: memory
 /// comes in geometrically growing chunks that never move or shrink while
-/// rows are open, so a finished row stays readable from other threads
-/// while this arena keeps growing — the property the wavefront scan's
-/// cross-level reads depend on (a worker at level L reads rows that
-/// workers finished at levels < L while appending its own).
+/// rows are open, so a finished row stays readable by the rows built
+/// after it while this arena keeps growing.
 ///
 /// Exactly one row is open at a time. The open row is contiguous: when it
 /// outgrows the current chunk it is copied to the front of a larger fresh
@@ -230,23 +253,34 @@ class RowArena {
 };
 
 /// Reusable per-thread scratch for the Algorithm 2 scan and the
-/// Algorithm 5 commit: each worker snapshots creditor lists into its own
-/// arena, the wavefront merge builds its per-row sub-tables here, and the
-/// parallel CommitSeed parks its SC deltas here — so none of those paths
-/// holds a span into a table it is mutating, and none allocates in steady
-/// state.
+/// Algorithm 5 commit: each scan worker builds creditor rows here before
+/// they are bulk-loaded into a table, and the parallel CommitSeed
+/// snapshots rows and parks its SC deltas here — so no path holds a span
+/// into a table it is mutating. Every buffer keeps its capacity, so a
+/// worker stops allocating scratch once it has seen its longest trace.
 struct ScanArena {
-  std::vector<CreditEntry> creditors;
-
-  // Wavefront merge (ScanDagRangeSharded phase B): this worker's per-row
-  // sub-tables, and the creditor-id -> row-slot index of the row under
-  // construction. The index value packs (row epoch << 32 | slot): a
-  // stale epoch reads as "absent", so switching rows is one counter
-  // bump instead of an O(capacity) Clear() — the map is only cleared
-  // (and the epoch reset) once per sharded scan.
+  // Algorithm 2 row kernel (cd_model.cc). Rows are keyed by trace
+  // position, not user id: finished rows (stable addresses), the row of
+  // each position of the action being scanned, and the dense accumulator
+  // of the row under construction — creditor position -> (row epoch << 32
+  // | index in the open row). A stale epoch reads as "absent", so
+  // switching rows is one counter bump, never a clear.
   RowArena rows;
-  FlatHashMap<NodeId, std::uint64_t> row_index;
+  std::vector<std::span<const CreditEntry>> row_of;
+  std::vector<std::uint64_t> row_slot;
   std::uint32_t row_epoch = 0;
+  // One position's surviving direct credits (parent position, gamma).
+  std::vector<std::pair<NodeId, double>> direct;
+
+  // ActionCreditTable::LoadColumns, per creditor position: the ids its
+  // forward list gains, then its forward-list pool slot.
+  std::vector<std::uint32_t> load_count;
+  std::vector<std::uint32_t> load_slot;
+
+  // The rescan seam: user -> trace position over the scanned prefix, and
+  // creditor rows read from the table (also CommitSeed's row snapshot).
+  FlatHashMap<NodeId, NodeId> seam_position;
+  std::vector<CreditEntry> creditors;
 
   // Parallel CommitSeed: forward-row snapshot plus the SC deltas of the
   // actions this worker processed, replayed in action order afterwards
@@ -353,9 +387,6 @@ class UserCreditStore {
   ScanArena& scan_arena(std::size_t thread_index) {
     return arenas_[thread_index];
   }
-
-  /// All prepared arenas (the sharded scan indexes them by worker).
-  std::span<ScanArena> scan_arenas() { return arenas_; }
 
   /// Hands the arenas back to `pool` (or frees them) once the scan is
   /// done.

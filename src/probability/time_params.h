@@ -38,9 +38,13 @@ struct InfluenceTimeParams {
 
 /// Learns all parameters in two passes over `log` (one to average delays,
 /// one to evaluate the influenceability indicator against the learned
-/// tau values).
+/// tau values), building the action DAGs on `threads` workers (0 = all
+/// hardware threads). The parameters are bit-identical for any thread
+/// count: pass 1 folds the delays serially in action order, pass 2 only
+/// counts.
 Result<InfluenceTimeParams> LearnTimeParams(const Graph& g,
-                                            const ActionLog& log);
+                                            const ActionLog& log,
+                                            std::size_t threads = 0);
 
 }  // namespace influmax
 

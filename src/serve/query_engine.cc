@@ -579,11 +579,12 @@ Status IncrementalRescan(const CreditSnapshotView& view, const Graph& graph,
   // Rebuild only the changed tables: reconstruct the frozen credits in
   // their original first-touch order, then resume Algorithm 2 at the
   // first appended position. Actions are independent, so this
-  // parallelizes like Build().
+  // parallelizes like Build(), one scan arena per worker.
   std::vector<ActionCreditTable> tables(changed.size());
+  std::vector<ScanArena> arenas(EffectiveThreadCount(config.scan_threads));
   ParallelForDynamic(
       changed.size(), config.scan_threads,
-      [&](std::size_t /*thread*/, std::size_t i) {
+      [&](std::size_t thread, std::size_t i) {
         const ActionId a = changed[i];
         const auto trace = log.ActionTrace(a);
         const std::uint32_t old_size =
@@ -598,10 +599,10 @@ Status IncrementalRescan(const CreditSnapshotView& view, const Graph& graph,
           }
         }
         const PropagationDag dag = BuildPropagationDag(graph, trace);
-        std::vector<CreditEntry> scratch;
         ScanDagRange(dag, credit_model, config.truncation_threshold,
-                     /*begin_pos=*/old_size, &table, &scratch);
+                     /*begin_pos=*/old_size, &table, &arenas[thread]);
       });
+  arenas.clear();  // the rows live in the tables now
 
   // Assemble the new snapshot through the shared freeze: rebuilt tables
   // where something changed, verbatim (entry-rebased) copies of the

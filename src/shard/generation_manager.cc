@@ -8,6 +8,10 @@
 #include <span>
 #include <utility>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "common/failpoint.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
@@ -274,6 +278,13 @@ Status GenerationManager::IngestLogImpl(
             cur->shards.views[i], graph, restricted, credit_model, config,
             dir_ + "/" + shard_files[i], &shard_stats[i]);
       });
+  // The rescans freed their rebuilt tables and frozen images on scan and
+  // freeze worker threads, whose malloc arenas keep the pages. Hand them
+  // back to the system before the new generation opens next to the live
+  // one — the ingest's memory peak.
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
   for (std::size_t i = 0; i < shards; ++i) {
     // Blobs that reached disk, whether or not a sibling failed — the
     // wrapper quarantines them on any error below.

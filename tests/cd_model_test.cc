@@ -76,39 +76,6 @@ TEST(CdConfigTest, ValidateRejectsNonsenseKnobs) {
   EXPECT_TRUE(sane.Validate().ok());
 }
 
-TEST(CdConfigTest, ShardFloorWithOneScanThreadTakesSerialPathSilently) {
-  // scan_shard_min_positions > 0 with scan_threads == 1 is not an error:
-  // there is no worker pool to shard across, so Build routes every
-  // action through the serial scan and the result is identical to a
-  // shard-disabled config.
-  auto ex = MakePaperExample();
-  EqualDirectCredit credit;
-
-  CdConfig sharded_but_serial = ExactScan();
-  sharded_but_serial.scan_threads = 1;
-  sharded_but_serial.scan_shard_min_positions = 1;  // everything qualifies
-  auto a = CreditDistributionModel::Build(ex.graph, ex.log, credit,
-                                          sharded_but_serial);
-  ASSERT_TRUE(a.ok());
-
-  CdConfig shard_disabled = ExactScan();
-  shard_disabled.scan_threads = 1;
-  shard_disabled.scan_shard_min_positions = 0;
-  auto b = CreditDistributionModel::Build(ex.graph, ex.log, credit,
-                                          shard_disabled);
-  ASSERT_TRUE(b.ok());
-
-  ASSERT_EQ(a->credit_entries(), b->credit_entries());
-  for (NodeId v = 0; v < ex.graph.num_nodes(); ++v) {
-    for (ActionId act = 0; act < ex.log.num_actions(); ++act) {
-      for (NodeId u : a->store().table(act).CreditedUsers(v)) {
-        EXPECT_EQ(a->store().table(act).Credit(v, u),
-                  b->store().table(act).Credit(v, u));
-      }
-    }
-  }
-}
-
 TEST(CdScanTest, RejectsMismatchedLog) {
   auto ex = MakePaperExample();
   ActionLogBuilder lb(3);

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "actionlog/propagation_dag.h"
+#include "common/rng.h"
 #include "core/cd_model.h"
 #include "core/credit_store.h"
 #include "core/direct_credit.h"
@@ -137,6 +140,117 @@ TEST(ActionCreditTableTest, ShortListsAreNotCompacted) {
   // readers see Credit() == 0.
   EXPECT_EQ(table.CreditedUsers(0).size(), 2u);
   EXPECT_DOUBLE_EQ(table.Credit(0, 1), 0.0);
+}
+
+// Scanned columns over `positions` distinct users: each position is
+// credited by a random two thirds of the earlier positions, in random
+// order, so many columns and forward lists pass kCompactMinListSize.
+struct ScannedColumns {
+  std::vector<NodeId> users;
+  std::vector<std::vector<CreditEntry>> columns;  // keyed by position
+
+  ScannedColumns(NodeId positions, std::uint64_t seed) {
+    Rng rng(seed);
+    for (NodeId p = 0; p < positions; ++p) users.push_back(7 * p + 3);
+    columns.resize(positions);
+    for (NodeId p = 1; p < positions; ++p) {
+      for (NodeId q = 0; q < p; ++q) {
+        if (rng.NextBounded(3) != 0) {
+          columns[p].push_back({q, 0.01 + rng.NextDouble()});
+        }
+      }
+      std::shuffle(columns[p].begin(), columns[p].end(), rng);
+    }
+  }
+
+  // The AddCredit sequence LoadColumns must reproduce.
+  void AddCredits(NodeId begin, NodeId end, ActionCreditTable* table) const {
+    for (NodeId p = begin; p < end; ++p) {
+      for (const CreditEntry& entry : columns[p]) {
+        table->AddCredit(users[entry.node], users[p], entry.credit);
+      }
+    }
+  }
+
+  // Every load reuses one scratch arena, as a scan worker does.
+  void Load(NodeId begin, ActionCreditTable* table) const {
+    std::vector<std::span<const CreditEntry>> views(columns.begin() + begin,
+                                                    columns.end());
+    table->LoadColumns(users, begin, views, &scratch);
+  }
+
+  mutable ScanArena scratch;
+};
+
+void ExpectSameTable(const ActionCreditTable& loaded,
+                     const ActionCreditTable& added,
+                     std::span<const NodeId> users) {
+  EXPECT_EQ(loaded.num_entries(), added.num_entries());
+  for (const NodeId v : users) {
+    EXPECT_TRUE(std::ranges::equal(loaded.CreditedUsers(v),
+                                   added.CreditedUsers(v)))
+        << "forward list of " << v;
+    EXPECT_TRUE(
+        std::ranges::equal(loaded.Creditors(v), added.Creditors(v)))
+        << "backward list of " << v;
+    for (const NodeId u : added.CreditedUsers(v)) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(loaded.Credit(v, u)),
+                std::bit_cast<std::uint64_t>(added.Credit(v, u)))
+          << "pair (" << v << ", " << u << ")";
+    }
+  }
+}
+
+TEST(ActionCreditTableTest, LoadColumnsMatchesAddCredit) {
+  const ScannedColumns scanned(60, 5);
+  const auto positions = static_cast<NodeId>(scanned.users.size());
+  ActionCreditTable added;
+  scanned.AddCredits(0, positions, &added);
+  ASSERT_GT(added.CreditedUsers(scanned.users[0]).size(),
+            ActionCreditTable::kCompactMinListSize);
+  ActionCreditTable loaded;
+  scanned.Load(0, &loaded);
+  ExpectSameTable(loaded, added, scanned.users);
+  // Exact-length lists and one reservation never cost more memory than
+  // growing entry by entry.
+  EXPECT_LE(loaded.ApproxMemoryBytes(), added.ApproxMemoryBytes());
+
+  // The rescan seam: earlier columns already in the table, later ones
+  // appended by the loader (forward lists of earlier creditors grow).
+  ActionCreditTable resumed;
+  scanned.AddCredits(0, 25, &resumed);
+  scanned.Load(25, &resumed);
+  ExpectSameTable(resumed, added, scanned.users);
+}
+
+TEST(ActionCreditTableTest, LoadedTablesCompactMajorityStaleLists) {
+  const ScannedColumns scanned(60, 6);
+  ActionCreditTable table;
+  scanned.Load(0, &table);
+  const NodeId hub = scanned.users[0];
+  const std::vector<NodeId> credited(table.CreditedUsers(hub).begin(),
+                                     table.CreditedUsers(hub).end());
+  ASSERT_GT(credited.size(), ActionCreditTable::kCompactMinListSize);
+  // Erase everything but hub's first five entries: the erased then
+  // outnumber the live entries, so the registered big lists — hub's
+  // forward list among them — must have been swept.
+  for (std::size_t p = 0; p < scanned.columns.size(); ++p) {
+    for (const CreditEntry& entry : scanned.columns[p]) {
+      const NodeId v = scanned.users[entry.node];
+      const NodeId u = scanned.users[p];
+      if (v == hub && std::find(credited.begin(), credited.begin() + 5, u) !=
+                          credited.begin() + 5) {
+        continue;
+      }
+      table.Erase(v, u);
+    }
+  }
+  EXPECT_EQ(table.num_entries(), 5u);
+  const auto after = table.CreditedUsers(hub);
+  EXPECT_LT(after.size(), credited.size());
+  std::size_t live = 0;
+  for (const NodeId u : after) live += table.Credit(hub, u) > 0.0;
+  EXPECT_EQ(live, 5u);
 }
 
 // Seed-era reference implementation of the Algorithm 2 scan: one

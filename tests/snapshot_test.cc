@@ -487,8 +487,8 @@ struct FreezeInput {
 };
 
 // Preferential-attachment graph with seeded cascades plus one huge action
-// (every node, id order) that clears scan_shard_min_positions, so Build
-// shards it and one freeze worker owns most of the entries. The cascades
+// (every node, id order), so one scan worker and one freeze worker each
+// own most of the entries. The cascades
 // use Rng bits and integer hop times only (no libm), so the pinned digest
 // does not depend on the platform's math library: each action starts at a
 // random node and crosses each out-edge of an activated node with
@@ -548,12 +548,11 @@ FreezeInput SparseInput() {
   return {std::move(graph).value(), std::move(log).value()};
 }
 
-// The huge-action model, built so that Build shards the huge action.
+// The huge-action model.
 CreditDistributionModel BuildHugeActionModel(const FreezeInput& input) {
   EqualDirectCredit credit;
   CdConfig config;
   config.truncation_threshold = 0.001;
-  config.scan_shard_min_positions = 64;
   auto model =
       CreditDistributionModel::Build(input.graph, input.log, credit, config);
   INFLUMAX_CHECK(model.ok());
@@ -576,23 +575,41 @@ std::string FrozenBytesAt(const CreditDistributionModel& model,
 
 // The frozen bytes of fixed inputs, pinned to digests recorded from the
 // earlier serial writer (one pass per action with a per-action entry hash
-// map and a sort per backward list). Equal digests prove the parallel
-// freeze reproduces that writer byte for byte, not merely that it agrees
-// with itself across thread counts. The digests were taken of version-2
-// files, so each file is hashed as its version-2 image (V2ImageOf).
+// map and a sort per backward list) over the earlier scan (one AddCredit
+// hash probe per contribution). Equal digests prove the parallel freeze
+// and the row-kernel scan reproduce both byte for byte, not merely that
+// they agree with themselves across thread counts. Every scan width is
+// checked: serial, even, odd and hardware. The digests were taken of
+// version-2 files, so each file is hashed as its version-2 image
+// (V2ImageOf).
 TEST(SnapshotTest, FrozenBytesMatchPinnedDigests) {
   const FreezeInput huge = HugeActionInput();
-  auto model = BuildHugeActionModel(huge);
-  EXPECT_EQ(Fnv1a64(V2ImageOf(FrozenBytesAt(model, 0))),
-            0xbbd0ae27dcfcb9aaULL);
-  ASSERT_TRUE(model.SelectSeeds(3).ok());  // three CommitSeed calls
-  EXPECT_EQ(Fnv1a64(V2ImageOf(FrozenBytesAt(model, 0))),
-            0x442c39255216f4cfULL);
   const FreezeInput sparse = SparseInput();
   EqualDirectCredit credit;
-  auto sparse_model = BuildModel(sparse.graph, sparse.log, credit);
-  EXPECT_EQ(Fnv1a64(V2ImageOf(FrozenBytesAt(sparse_model, 0))),
-            0xcb94ce96897d6bc7ULL);
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{7}, std::size_t{0}}) {
+    const std::string label = std::to_string(threads) + " scan threads";
+    CdConfig config;
+    config.truncation_threshold = 0.001;
+    config.scan_threads = threads;
+    auto model =
+        CreditDistributionModel::Build(huge.graph, huge.log, credit, config);
+    ASSERT_TRUE(model.ok()) << label;
+    EXPECT_EQ(Fnv1a64(V2ImageOf(FrozenBytesAt(*model, 0))),
+              0xbbd0ae27dcfcb9aaULL)
+        << label;
+    ASSERT_TRUE(model->SelectSeeds(3).ok());  // three CommitSeed calls
+    EXPECT_EQ(Fnv1a64(V2ImageOf(FrozenBytesAt(*model, 0))),
+              0x442c39255216f4cfULL)
+        << label;
+    config.truncation_threshold = 0.0;
+    auto sparse_model = CreditDistributionModel::Build(
+        sparse.graph, sparse.log, credit, config);
+    ASSERT_TRUE(sparse_model.ok()) << label;
+    EXPECT_EQ(Fnv1a64(V2ImageOf(FrozenBytesAt(*sparse_model, 0))),
+              0xcb94ce96897d6bc7ULL)
+        << label;
+  }
 }
 
 // Serial, even, odd and hardware freeze widths all write the same file.
@@ -622,14 +639,13 @@ TEST(SnapshotTest, FreezeBytesIndependentOfThreadCount) {
 }
 
 // The rescan freezes over config.scan_threads; every width reproduces
-// the full rebuild, including the huge action's sharded rescan.
+// the full rebuild, including the huge action's rescan.
 TEST(SnapshotTest, IncrementalRescanBytesIndependentOfThreadCount) {
   const FreezeInput huge = HugeActionInput();
   const ActionLog prefix = PrefixLog(huge.log, 0.5);
   EqualDirectCredit credit;
   CdConfig config;
   config.truncation_threshold = 0.001;
-  config.scan_shard_min_positions = 64;
   auto old_model =
       CreditDistributionModel::Build(huge.graph, prefix, credit, config);
   ASSERT_TRUE(old_model.ok());

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
+#include "common/parallel.h"
 #include "core/direct_credit.h"
+#include "datagen/cascade_generator.h"
+#include "graph/generators.h"
 #include "probability/time_params.h"
 #include "test_fixtures.h"
 
@@ -109,6 +115,50 @@ TEST(TimeParamsTest, RejectsMismatchedUserSpace) {
   auto log = lb.Build();
   ASSERT_TRUE(log.ok());
   EXPECT_FALSE(LearnTimeParams(ex.graph, *log).ok());
+}
+
+std::vector<std::uint64_t> Bits(const std::vector<double>& values) {
+  std::vector<std::uint64_t> bits;
+  for (const double value : values) {
+    bits.push_back(std::bit_cast<std::uint64_t>(value));
+  }
+  return bits;
+}
+
+// The DAG builds run on any number of workers, in blocks of actions; the
+// delay sums still fold in action order and the influenceability counts
+// are integers, so every parameter is bit-identical to the serial pass.
+TEST(TimeParamsTest, BitIdenticalForAnyThreadCount) {
+  auto graph = GeneratePreferentialAttachment({1500, 4, 0.6}, 77);
+  ASSERT_TRUE(graph.ok());
+  CascadeConfig config;
+  config.num_actions = 400;
+  config.seed = 78;
+  auto data = GenerateCascadeDataset(std::move(graph).value(), config);
+  ASSERT_TRUE(data.ok());
+  // Enough tuples for several blocks of action DAGs (about 16K tuples
+  // each).
+  ASSERT_GT(data->log.num_tuples(), 40000u);
+  auto serial = LearnTimeParams(data->graph, data->log, /*threads=*/1);
+  ASSERT_TRUE(serial.ok());
+  ASSERT_GT(serial->total_propagation_events, 0u);
+  for (const std::size_t threads :
+       {std::size_t{2}, std::size_t{7}, std::size_t{0}}) {
+    auto params = LearnTimeParams(data->graph, data->log, threads);
+    ASSERT_TRUE(params.ok());
+    EXPECT_EQ(Bits(params->edge_mean_delay), Bits(serial->edge_mean_delay))
+        << threads << " threads";
+    EXPECT_EQ(params->edge_propagation_count, serial->edge_propagation_count)
+        << threads << " threads";
+    EXPECT_EQ(Bits(params->influenceability), Bits(serial->influenceability))
+        << threads << " threads";
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(params->global_mean_delay),
+              std::bit_cast<std::uint64_t>(serial->global_mean_delay))
+        << threads << " threads";
+    EXPECT_EQ(params->total_propagation_events,
+              serial->total_propagation_events)
+        << threads << " threads";
+  }
 }
 
 // ----------------------------------------------- TimeDecayDirectCredit
